@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race bench bench-compare chaos fuzz-smoke alloc recovery-smoke scaling-smoke egress-smoke tasklet-smoke rescale-smoke
+.PHONY: check build vet fmt test race bench bench-compare benchmark-check chaos fuzz-smoke alloc recovery-smoke scaling-smoke egress-smoke tasklet-smoke rescale-smoke
 
 # check is the full gate: build, vet, formatting, unit tests, the
 # race-detector run over the packages with real concurrency, the
 # short seeded chaos suite, the decoder fuzz smokes, and the recovery,
-# scaling, egress, tasklet, and rescale smokes.
-check: build vet fmt test race chaos fuzz-smoke recovery-smoke scaling-smoke egress-smoke tasklet-smoke rescale-smoke
+# scaling, egress, tasklet, and rescale smokes — plus the benchmark
+# module, which the root build does not reach.
+check: build vet fmt test benchmark-check race chaos fuzz-smoke recovery-smoke scaling-smoke egress-smoke tasklet-smoke rescale-smoke
 
 build:
 	$(GO) build ./...
@@ -23,6 +24,12 @@ fmt:
 
 test:
 	$(GO) test ./...
+
+# benchmark-check vets and tests benchmark/, a module of its own that
+# reaches the system through the public API only (benchmark/sut.go): a
+# rename there breaks the benchmark driver, not `go build ./...`.
+benchmark-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # race covers the shared log and the runtime core, where appenders,
 # blocking readers, trims, and fault injection interleave.

@@ -90,8 +90,8 @@ func main() {
 
 	m := app.Metrics()
 	fmt.Printf("\nsent %d events, received %d results\n", app.InputCount(), received.Load())
-	fmt.Printf("engine: processed=%d emitted=%d markers=%d appends=%d changeRecords=%d\n",
-		m.Processed, m.Emitted, m.Markers, m.Appends, m.ChangeRecords)
+	fmt.Printf("engine: processed=%d emitted=%d markers=%d off-tick=%d appends=%d changeRecords=%d\n",
+		m.Processed, m.Emitted, m.Markers, m.CascadeCommits, m.Appends, m.ChangeRecords)
 	fmt.Printf("marker bytes: shrunk=%d unshrunk-would-be=%d (%.1f%% saved, paper §3.5)\n",
 		m.MarkerBytes, m.MarkerBytesUnshrunk, savings(m.MarkerBytes, m.MarkerBytesUnshrunk))
 }

@@ -386,6 +386,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.EnableGC {
 		c.env.GC = core.NewGCController(c.log)
 	}
+	c.env.AnchorCommitGrid()
 	return c
 }
 

@@ -123,6 +123,9 @@ func PrintFig7(w io.Writer, series []*Fig7Series) {
 				cacheHitRate(ls), ls.SequencerCuts, ls.MeanCutBatch,
 				ls.ReaderWakeups, ls.UsefulWakeups,
 				ls.BatchAppends, ls.MeanAppendBatch)
+			qm := s.Points[n-1].Metrics
+			fmt.Fprintf(w, "%-20s commits @%d eps: markers=%d off-tick=%d stalls=%d\n",
+				s.Protocol, s.Points[n-1].Config.Rate, qm.Markers, qm.CascadeCommits, qm.CommitStalls)
 		}
 	}
 }

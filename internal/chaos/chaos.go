@@ -32,6 +32,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -387,16 +388,46 @@ type Result struct {
 	// ever contradicted exactly-once semantics (terminal).
 	Converged bool
 	Violation string
-	Elapsed   time.Duration
+	// Stuck, set when the run neither converged nor violated, is where
+	// every task's input side stood at the timeout (stuckDump).
+	Stuck   string
+	Elapsed time.Duration
 }
 
-// String renders one run as a table row.
+// stuckDump renders, one line per task, where each task's input side
+// stood at its last commit opportunity: cursor, unknown-state queue
+// length, the queue head (producer, LSN, classification) and the last
+// marker LSN — then the egress sink's position — enough to see which
+// producer's commit a stuck run is waiting for.
+func stuckDump(mgr *core.Manager, sink *egressRunner) string {
+	var b strings.Builder
+	for _, id := range mgr.TaskIDs() {
+		fmt.Fprintf(&b, "\n  %-14s restarts=%d", id, mgr.Restarts(id))
+		m := mgr.TaskMetrics(id)
+		if m == nil {
+			continue
+		}
+		if p := m.Progress.Load(); p != nil {
+			fmt.Fprintf(&b, " %s", p)
+		} else {
+			b.WriteString(" never reached a commit tick")
+		}
+		fmt.Fprintf(&b, " processed=%d markers=%d dropped(dup/uncommitted/floor)=%d/%d/%d",
+			m.Processed.Load(), m.Markers.Load(),
+			m.DroppedDuplicate.Load(), m.DroppedUncommitted.Load(), m.DroppedBelowFloor.Load())
+	}
+	b.WriteString("\n  " + sink.describe())
+	return b.String()
+}
+
+// String renders one run as a table row (followed, for a stuck run, by
+// the per-task dump).
 func (r *Result) String() string {
 	status := "ok"
 	if r.Violation != "" {
 		status = "VIOLATION: " + r.Violation
 	} else if !r.Converged {
-		status = "STUCK"
+		status = "STUCK" + r.Stuck
 	}
 	return fmt.Sprintf("q%-2d %-18s seed=%-3d faults=%-2d restarts=%-2d retries=%-4d fenced=%-2d maxrec=%-8v sinks=%d redel=%-3d dedup=%-3d rtd=%-8v %s",
 		r.Config.Query, r.Config.Protocol, r.Config.Seed, r.Plan.Faults,
@@ -610,6 +641,10 @@ func Run(cfg Config) (*Result, error) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+
+	if !res.Converged && res.Violation == "" {
+		res.Stuck = stuckDump(mgr, runner)
 	}
 
 	// Graceful final stop: drain the window, persist the last frontier,

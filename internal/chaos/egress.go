@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -101,6 +102,22 @@ func (e *egressRunner) fold(ds *core.DeliverySink) {
 		e.ds = nil
 	}
 	e.mu.Unlock()
+}
+
+// describe renders the live incarnation's read position and counters for
+// the stuck dump: a sink whose safe position trails the tasks' markers
+// is the one holding the missing output.
+func (e *egressRunner) describe() string {
+	e.mu.Lock()
+	ds := e.ds
+	e.mu.Unlock()
+	if ds == nil {
+		return "sink: no live incarnation"
+	}
+	c, st := ds.Sink().Counts(), ds.Stats()
+	return fmt.Sprintf("sink: safe=%d received=%d duplicates=%d droppedUncommitted=%d trimmedLost=%d enqueued=%d delivered=%d deadLettered=%d resume=%d",
+		ds.Sink().SafePos(), c.Received, c.Duplicates, c.DroppedUncommitted, c.TrimmedLost,
+		st.Enqueued, st.Delivered, st.DeadLettered, st.ResumeLSN)
 }
 
 func (e *egressRunner) snapshot() (core.DeliveryStats, core.SinkCounts, int) {

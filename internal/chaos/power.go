@@ -285,7 +285,7 @@ func RunPower(cfg PowerConfig) (*PowerResult, error) {
 	case CorruptTornWrite:
 		dev.TruncateTo(dev.Size() - tornTailBytes)
 	case CorruptBitFlip:
-		dev.FlipBit(dev.Size()/2, 3)
+		dev.FlipBit(bitFlipOffset(dev.Bytes()), 3)
 	}
 
 	// ---- Phase two: recover and finish the run. ----
@@ -329,4 +329,27 @@ func RunPower(cfg PowerConfig) (*PowerResult, error) {
 	res.Resumed = stats.Resumed
 	res.Delivered, res.Deduped, _ = cons.snapshot()
 	return res, nil
+}
+
+// bitFlipOffset picks the byte to corrupt: the middle of the frame that
+// spans the device's midpoint, moved forward if need be to a frame that
+// follows at least one cut frame. A flush boundary decides where the
+// first cut frame falls; aiming by byte offset alone can leave a valid
+// prefix of metadata frames only, and the cell would then fail for
+// having nothing to replay although truncation behaved correctly.
+func bitFlipOffset(buf []byte) int {
+	mid := len(buf) / 2
+	r := wal.NewReader(buf)
+	sawCut := false
+	for {
+		start := r.Offset()
+		kind, _, ok := r.Next()
+		if !ok {
+			return mid // no frame after a cut: nothing better to aim at
+		}
+		if end := r.Offset(); sawCut && end > mid {
+			return start + (end-start)/2
+		}
+		sawCut = sawCut || kind == sharedlog.WALCutFrame
+	}
 }

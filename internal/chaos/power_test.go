@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"impeller"
+	"impeller/internal/sharedlog"
+	"impeller/internal/wal"
 )
 
 // TestChaosPowerFailure is the whole-cluster power-failure matrix: all
@@ -155,5 +157,38 @@ func TestChaosPowerFailureCorruption(t *testing.T) {
 					res.Delivered, res.Deduped, res.Recovery.RecoveredRecords, res.Recovery.WALTruncatedBytes)
 			}
 		})
+	}
+}
+
+// TestBitFlipOffset: the flip lands inside a frame that follows a cut
+// frame even when the first cut frame spans the device's midpoint — the
+// layout that used to leave a valid prefix of metadata frames only.
+func TestBitFlipOffset(t *testing.T) {
+	const meta = 2 // any kind other than the cut kind
+	frames := []struct {
+		kind byte
+		size int
+	}{
+		{meta, 16}, {meta, 16}, {meta, 16},
+		{sharedlog.WALCutFrame, 4096}, // spans the midpoint
+		{sharedlog.WALCutFrame, 512},
+		{meta, 16},
+	}
+	var buf []byte
+	var bounds []int
+	for _, f := range frames {
+		bounds = append(bounds, len(buf))
+		buf = wal.AppendFrame(buf, f.kind, make([]byte, f.size))
+	}
+	if mid := len(buf) / 2; mid < bounds[3] || mid >= bounds[4] {
+		t.Fatalf("layout: midpoint %d is not inside the first cut frame [%d, %d)", mid, bounds[3], bounds[4])
+	}
+	if off := bitFlipOffset(buf); off < bounds[4] || off >= bounds[5] {
+		t.Errorf("flip at %d, want inside the frame after the first cut frame [%d, %d)", off, bounds[4], bounds[5])
+	}
+	// Midpoint already past a cut frame: the frame spanning it is hit.
+	tail := wal.AppendFrame(append([]byte(nil), buf...), meta, make([]byte, 3*len(buf)))
+	if off := bitFlipOffset(tail); off < len(buf) {
+		t.Errorf("flip at %d, want inside the frame spanning the midpoint (from %d)", off, len(buf))
 	}
 }

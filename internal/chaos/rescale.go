@@ -129,16 +129,20 @@ type RescaleResult struct {
 	// Converged / Violation mirror the main harness's oracle verdict.
 	Converged bool
 	Violation string
-	Elapsed   time.Duration
+	// Stuck is the per-task dump of a run that neither converged nor
+	// violated (stuckDump).
+	Stuck   string
+	Elapsed time.Duration
 }
 
-// String renders one run as a table row.
+// String renders one run as a table row (followed, for a stuck run, by
+// the per-task dump).
 func (r *RescaleResult) String() string {
 	status := "ok"
 	if r.Violation != "" {
 		status = "VIOLATION: " + r.Violation
 	} else if !r.Converged {
-		status = "STUCK"
+		status = "STUCK" + r.Stuck
 	}
 	epochs := make([]string, len(r.Epochs))
 	for i, e := range r.Epochs {
@@ -307,6 +311,9 @@ func RunRescale(cfg RescaleConfig) (*RescaleResult, error) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+	if !res.Converged && res.Violation == "" {
+		res.Stuck = stuckDump(mgr, runner)
 	}
 
 	runner.finish()

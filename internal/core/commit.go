@@ -13,6 +13,7 @@ import (
 // protocol of §3.6; aligned checkpoints are driven by barriers rather
 // than the commit tick; unsafe does nothing.
 func (t *Task) commit(ctx context.Context) error {
+	t.publishProgress()
 	switch t.env.Protocol {
 	case ProtoProgressMarker:
 		return t.commitMarker(ctx)
@@ -24,6 +25,19 @@ func (t *Task) commit(ctx context.Context) error {
 	default:
 		return errors.New("core: unknown protocol")
 	}
+}
+
+// publishProgress snapshots the input side for observers (chaos dumps it
+// when a run ends stuck). The caller owns the task; one small allocation
+// per commit opportunity.
+func (t *Task) publishProgress() {
+	p := &TaskProgress{Instance: t.Instance, Cursor: t.cursor, Queued: len(t.queue), LastMarker: t.lastMarker}
+	if len(t.queue) > 0 {
+		head := t.queue[0]
+		p.HeadProducer, p.HeadInstance, p.HeadLSN = head.batch.Producer, head.batch.Instance, head.lsn
+		p.HeadClass = t.classify(head).String()
+	}
+	t.Metrics.Progress.Store(p)
 }
 
 // commitMarker writes one progress marker: a consistent cut of input,
@@ -39,24 +53,23 @@ func (t *Task) commitMarker(ctx context.Context) error {
 		return nil
 	}
 
+	// The marker's tag set (every downstream substream, the task log,
+	// the change log) is precomputed at construction: t.markerTags.
+	t.assertAppendsDrained("progress marker")
+
+	// Appends are drained, so no completion callback is in flight: the
+	// marker borrows outFirst and is encoded under the lock, once.
 	t.progressMu.Lock()
-	m := &ProgressMarker{
+	m := ProgressMarker{
 		InputEnd:        t.inputEnd(),
+		OutFirst:        t.outFirst,
 		ChangeFirst:     t.changeFirst,
 		SeqEnd:          t.outSeq,
 		CheckpointEpoch: t.ckptEpoch,
 	}
-	if len(t.outFirst) > 0 {
-		m.OutFirst = make(map[sharedlog.Tag]LSN, len(t.outFirst))
-		for tag, lsn := range t.outFirst {
-			m.OutFirst[tag] = lsn
-		}
-	}
+	control := m.Encode()
+	outputs := len(t.outFirst)
 	t.progressMu.Unlock()
-
-	// The marker's tag set (every downstream substream, the task log,
-	// the change log) is precomputed at construction: t.markerTags.
-	t.assertAppendsDrained("progress marker")
 
 	// Epoch on a marker batch carries the assignment epoch the instance
 	// runs under; recovery reads it off the last marker to bound its
@@ -66,7 +79,7 @@ func (t *Task) commitMarker(ctx context.Context) error {
 		Producer: t.ID,
 		Instance: t.Instance,
 		Epoch:    t.assignEpoch,
-		Control:  m.Encode(),
+		Control:  control,
 	}).Encode()
 
 	// The conditional append fences zombies: it succeeds only while the
@@ -100,10 +113,14 @@ func (t *Task) commitMarker(ctx context.Context) error {
 			t.env.GC.Report(t.ID, floor)
 		}
 	}
+	t.lastMarker = markerLSN
 	t.Metrics.Appends.Add(1)
 	t.Metrics.Markers.Add(1)
-	t.Metrics.MarkerBytes.Add(uint64(len(m.Encode())))
-	t.Metrics.MarkerBytesUnshrunk.Add(uint64(m.UnshrunkSize()))
+	if t.sched.offTick {
+		t.Metrics.CascadeCommits.Add(1)
+	}
+	t.Metrics.MarkerBytes.Add(uint64(len(control)))
+	t.Metrics.MarkerBytesUnshrunk.Add(uint64(unshrunkSize(len(control), outputs)))
 
 	t.resetProgress()
 	return nil
@@ -111,7 +128,7 @@ func (t *Task) commitMarker(ctx context.Context) error {
 
 func (t *Task) resetProgress() {
 	t.progressMu.Lock()
-	t.outFirst = make(map[sharedlog.Tag]LSN)
+	clear(t.outFirst)
 	t.changeFirst = NoLSN
 	t.progressMu.Unlock()
 	t.activity = false

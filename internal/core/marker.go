@@ -110,9 +110,12 @@ func DecodeMarker(buf []byte) (*ProgressMarker, error) {
 // output substream, and the change log); the marker-shrinking ablation
 // bench compares it against len(Encode()).
 func (m *ProgressMarker) UnshrunkSize() int {
-	size := len(m.Encode())
-	// One extra LSN for the input range start, one per output substream
-	// range end, and one for the change-log range end.
-	size += 8 + len(m.OutFirst)*8 + 8
-	return size
+	return unshrunkSize(len(m.Encode()), len(m.OutFirst))
+}
+
+// unshrunkSize adds to a marker's encoded size one extra LSN for the
+// input range start, one per output substream range end, and one for
+// the change-log range end.
+func unshrunkSize(encoded, outputs int) int {
+	return encoded + 8 + outputs*8 + 8
 }

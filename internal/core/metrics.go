@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"impeller/internal/sharedlog"
@@ -28,6 +29,9 @@ type TaskMetrics struct {
 	Buffered atomic.Uint64
 	// Markers counts progress markers written.
 	Markers atomic.Uint64
+	// CascadeCommits counts the markers written off the grid tick,
+	// triggered by an upstream round (commit_sched.go).
+	CascadeCommits atomic.Uint64
 	// MarkerBytes and MarkerBytesUnshrunk compare the §3.5 shrunk
 	// encoding against the naive one (ablation).
 	MarkerBytes         atomic.Uint64
@@ -70,6 +74,40 @@ type TaskMetrics struct {
 	// phase, so the recovery experiment can count replay round trips
 	// without input-loop noise.
 	RecoveryCursor sharedlog.CursorStats
+	// Progress is the input side as of the current instance's last commit
+	// opportunity (every grid tick, idle or not), so a task that stopped
+	// moving can still be asked where it stands.
+	Progress atomic.Pointer[TaskProgress]
+}
+
+// TaskProgress is one snapshot of a task's input side.
+type TaskProgress struct {
+	Instance uint64
+	// Cursor is the next input LSN the task will read.
+	Cursor LSN
+	// Queued is the unknown-state queue length in batches; the Head
+	// fields describe its first batch and are meaningful when Queued > 0.
+	Queued       int
+	HeadProducer TaskID
+	HeadInstance uint64
+	HeadLSN      LSN
+	HeadClass    string
+	// LastMarker is the LSN of the task's latest progress marker (the
+	// instance's own, or the one it recovered from); NoLSN if none.
+	LastMarker LSN
+}
+
+func (p *TaskProgress) String() string {
+	marker := "none"
+	if p.LastMarker != NoLSN {
+		marker = fmt.Sprint(p.LastMarker)
+	}
+	head := "-"
+	if p.Queued > 0 {
+		head = fmt.Sprintf("%s#%d@%d %s", p.HeadProducer, p.HeadInstance, p.HeadLSN, p.HeadClass)
+	}
+	return fmt.Sprintf("instance=%d cursor=%d queued=%d head=%s lastMarker=%s",
+		p.Instance, p.Cursor, p.Queued, head, marker)
 }
 
 // QueryMetrics aggregates counters across a query's current tasks.
@@ -77,6 +115,7 @@ type QueryMetrics struct {
 	Processed, Emitted, DroppedUncommitted, DroppedDuplicate uint64
 	DroppedBelowFloor                                        uint64
 	Markers, MarkerBytes, MarkerBytesUnshrunk, Appends       uint64
+	CascadeCommits                                           uint64
 	AppendBatches, BatchedRecords, BatchStalls               uint64
 	CommitStalls, ChangeRecords, RecoveredChanges            uint64
 	Retries, CheckpointDecodeFailures                        uint64
@@ -97,6 +136,7 @@ func (q *QueryMetrics) Add(m *TaskMetrics) {
 	q.DroppedDuplicate += m.DroppedDuplicate.Load()
 	q.DroppedBelowFloor += m.DroppedBelowFloor.Load()
 	q.Markers += m.Markers.Load()
+	q.CascadeCommits += m.CascadeCommits.Load()
 	q.MarkerBytes += m.MarkerBytes.Load()
 	q.MarkerBytesUnshrunk += m.MarkerBytesUnshrunk.Load()
 	q.Appends += m.Appends.Load()

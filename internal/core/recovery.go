@@ -157,6 +157,7 @@ func (t *Task) recoverMarker(ctx context.Context) error {
 		t.outSeq = m.SeqEnd
 		t.ckptEpoch = m.CheckpointEpoch
 		markerEpoch = b.Epoch
+		t.lastMarker = last.LSN
 	}
 
 	// Handoff floors: groups acquired since our last marker's assignment

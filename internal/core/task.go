@@ -104,6 +104,8 @@ type Task struct {
 
 	activity    bool // anything consumed/produced since last commit
 	firstCommit bool // force one commit after recovery
+	sched       commitSched
+	lastMarker  LSN // the task's latest progress marker (recovered or own); NoLSN if none
 
 	// --- protocol machinery ---
 	txn              *TxnCoordinator
@@ -168,6 +170,7 @@ func NewTask(stage *Stage, sub int, instance uint64, env *Env, opts TaskOptions)
 		skipBelow:   make(map[TaskID]LSN),
 		outFirst:    make(map[sharedlog.Tag]LSN),
 		changeFirst: NoLSN,
+		lastMarker:  NoLSN,
 		firstCommit: true,
 		txn:         opts.Txn,
 		ckpt:        opts.Ckpt,
@@ -501,7 +504,7 @@ func (t *Task) Run(ctx context.Context) error {
 
 	clock := t.env.Clock
 	nextFlush := clock.Now().Add(DefaultFlushInterval)
-	nextCommit := clock.Now().Add(t.env.CommitInterval)
+	t.sched.next = t.env.commitTick(clock.Now())
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -517,8 +520,8 @@ func (t *Task) Run(ctx context.Context) error {
 
 		now := clock.Now()
 		deadline := nextFlush
-		if nextCommit.Before(deadline) {
-			deadline = nextCommit
+		if t.sched.next.Before(deadline) {
+			deadline = t.sched.next
 		}
 		if wait := deadline.Sub(now); wait > 0 {
 			rctx, cancel := context.WithTimeout(ctx, wait)
@@ -558,11 +561,10 @@ func (t *Task) Run(ctx context.Context) error {
 			t.flushOutputs()
 			nextFlush = now.Add(DefaultFlushInterval)
 		}
-		if !now.Before(nextCommit) {
+		if t.commitDue(now, t.inCursor.Buffered() == 0) {
 			if err := t.commit(ctx); err != nil {
 				return fmt.Errorf("task %s: commit: %w", t.ID, err)
 			}
-			nextCommit = now.Add(t.env.CommitInterval)
 		}
 	}
 }
@@ -659,6 +661,9 @@ func (t *Task) ingestBatch(recs []*sharedlog.Record) error {
 }
 
 func (t *Task) observeControl(b *Batch, lsn LSN) error {
+	if b.Kind == KindMarker {
+		t.noteMarker(b.Producer)
+	}
 	if mt, ok := t.tracker.(*multiTagMarkerTracker); ok {
 		return mt.observe(b, lsn)
 	}
@@ -760,6 +765,11 @@ func (t *Task) processBatch(q queuedBatch) error {
 	}
 	t.persistSeq(sk)
 	t.activity = true
+	if b.Kind != KindSource {
+		// Under the marker protocol only an upstream marker releases a
+		// non-source batch; commitDue ignores the flag otherwise.
+		t.sched.released = true
+	}
 	return nil
 }
 

@@ -162,6 +162,9 @@ func (r *spsc[T]) push(ctx context.Context, v T) bool {
 	}
 }
 
+// empty reports whether the consumer has drained the ring.
+func (r *spsc[T]) empty() bool { return r.head.Load() == r.tail.Load() }
+
 // tryPop dequeues the oldest element, clearing its slot so the ring does
 // not pin payloads.
 func (r *spsc[T]) tryPop() (T, bool) {
@@ -406,7 +409,6 @@ type taskletRun struct {
 	// charge bulk work against it via ProcContext.Charge.
 	budget      int
 	nextFlush   time.Time
-	nextCommit  time.Time
 	feederDone  chan struct{}
 	blockerDone chan struct{}
 }
@@ -435,11 +437,11 @@ func (t *Task) runTasklet(ctx context.Context) error {
 		blockReq:    make(chan func() error, 1),
 		blockRes:    make(chan error, 1),
 		nextFlush:   now.Add(DefaultFlushInterval),
-		nextCommit:  now.Add(t.env.CommitInterval),
 		feederDone:  make(chan struct{}),
 		blockerDone: make(chan struct{}),
 	}
 	t.tl = tl
+	t.sched.next = t.env.commitTick(now)
 
 	feedCtx, stopFeed := context.WithCancel(ctx)
 	go t.feed(feedCtx)
@@ -601,12 +603,12 @@ func (t *Task) taskletStep() (progress, done bool, err error) {
 		tl.nextFlush = now.Add(DefaultFlushInterval)
 		progressed = true
 	}
-	if !now.Before(tl.nextCommit) {
+	dry := tl.recs == nil && !tl.pendingDrain && tl.in.empty()
+	if t.commitDue(now, dry) {
 		// Commits drain in-flight appends and append the commit record —
 		// blocking work, so it runs on the blocker with exclusive
 		// ownership. Yielding here is always at a producer-batch
 		// boundary: ingest pauses only between batches.
-		tl.nextCommit = now.Add(t.env.CommitInterval)
 		t.blockOn(func() error {
 			if err := t.commit(tl.ctx); err != nil {
 				return fmt.Errorf("task %s: commit: %w", t.ID, err)
@@ -627,7 +629,7 @@ func (t *Task) taskletWait() time.Duration {
 	}
 	now := t.env.Clock.Now()
 	d := tl.nextFlush.Sub(now)
-	if c := tl.nextCommit.Sub(now); c < d {
+	if c := t.sched.next.Sub(now); c < d {
 		d = c
 	}
 	return d

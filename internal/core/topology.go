@@ -219,6 +219,10 @@ type Env struct {
 	// holds this env copy (created in Start, closed in Stop).
 	loops *loopPool
 
+	// commitOrigin is the instant every task's commit ticks are measured
+	// from (commit_sched.go).
+	commitOrigin time.Time
+
 	// recoveryProbe, if set, is called at named points inside recovery
 	// ("marker", "replay", "txn", "aligned") so chaos tests can crash a
 	// task mid-recovery deterministically. Test-only.
@@ -243,6 +247,9 @@ func (e *Env) withDefaults() *Env {
 	}
 	if out.CommitInterval <= 0 {
 		out.CommitInterval = 100 * time.Millisecond
+	}
+	if out.commitOrigin.IsZero() {
+		out.AnchorCommitGrid()
 	}
 	out.Retry = out.Retry.withDefaults()
 	if out.Seed == 0 {

@@ -44,6 +44,10 @@ const (
 	frameAux     byte = 5 // aux data attached to a committed record
 )
 
+// WALCutFrame is the kind of the WAL frames that carry committed
+// records, for fault injection that must aim past the first of them.
+const WALCutFrame = frameCut
+
 // durability is the log's WAL writer state. Cut writes are serialized
 // by their call sites (l.mu or the cut loop); meta and aux writes rely
 // on the device's internal lock for atomic frame interleaving.
