@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race bench bench-compare benchmark-check chaos fuzz-smoke alloc recovery-smoke scaling-smoke egress-smoke tasklet-smoke rescale-smoke
+.PHONY: check build vet fmt test race bench bench-compare benchmark-check loc chaos fuzz-smoke alloc recovery-smoke scaling-smoke egress-smoke tasklet-smoke rescale-smoke
 
 # check is the full gate: build, vet, formatting, unit tests, the
 # race-detector run over the packages with real concurrency, the
@@ -101,6 +101,11 @@ tasklet-smoke:
 rescale-smoke:
 	$(GO) test -race -run 'TestChaosRescale' ./internal/chaos/ -timeout 300s
 	$(GO) run ./cmd/impeller-bench -exp rescale -duration 2s -scale 0.05
+
+# loc prints the size figure ROADMAP tracks: lines of non-test Go
+# outside benchmark/ (a module of its own), by wc -l.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # bench runs the sharedlog micro-benchmarks (no -race; see results/).
 bench:

@@ -16,7 +16,6 @@ import (
 	"impeller/internal/core"
 	"impeller/internal/nexmark"
 	"impeller/internal/sharedlog"
-	"impeller/internal/sim"
 )
 
 // BenchmarkTable2LogLatency reproduces Table 2: produce-to-consume
@@ -203,17 +202,16 @@ func BenchmarkAblationTagIndexVsScan(b *testing.B) {
 	b.Run("tag-index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n := 0
-			var cursor sharedlog.LSN
+			cur := log.OpenCursor([]sharedlog.Tag{"t7"}, 0)
 			for {
-				rec, err := log.ReadNext("t7", cursor)
+				recs, err := cur.NextBatch(64)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if rec == nil {
+				if len(recs) == 0 {
 					break
 				}
-				cursor = rec.LSN + 1
-				n++
+				n += len(recs)
 			}
 			if n != want {
 				b.Fatalf("read %d records, want %d", n, want)
@@ -423,56 +421,3 @@ func BenchmarkAblationGC(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationReadCache measures the client-side record cache
-// (Boki's function-node storage cache, paper §5.3) on the marker-fanout
-// pattern: one multi-tag record read by many consumers pays the storage
-// latency once instead of once per consumer.
-func BenchmarkAblationReadCache(b *testing.B) {
-	for _, size := range []int{0, 4096} {
-		size := size
-		name := "without-cache"
-		if size > 0 {
-			name = "with-cache"
-		}
-		b.Run(name, func(b *testing.B) {
-			log := sharedlog.Open(sharedlog.Config{
-				ReadLatency: simFixed(200 * time.Microsecond),
-				CacheSize:   size,
-			})
-			defer log.Close()
-			const fanout = 8
-			tags := make([]sharedlog.Tag, fanout)
-			for i := range tags {
-				tags[i] = sharedlog.Tag(fmt.Sprintf("c%d", i))
-			}
-			for i := 0; i < 200; i++ {
-				if _, err := log.Append(tags, []byte("marker")); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				for _, tag := range tags {
-					var cursor sharedlog.LSN
-					for {
-						rec, err := log.ReadNext(tag, cursor)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if rec == nil {
-							break
-						}
-						cursor = rec.LSN + 1
-					}
-				}
-			}
-			b.ReportMetric(float64(time.Since(start).Milliseconds())/float64(b.N), "ms/fanout-scan")
-		})
-	}
-}
-
-// simFixed adapts a duration to the sim.LatencyModel interface without
-// importing sim into every call site.
-func simFixed(d time.Duration) sim.LatencyModel { return sim.FixedLatency(d) }

@@ -213,10 +213,6 @@ type ClusterConfig struct {
 	// synchronous WAL flush (the paper's Kvrocks configuration);
 	// implied by SimulateLatency.
 	SyncCheckpointStore bool
-	// LogCacheSize sizes the shared log's client read cache (Boki's
-	// function-node storage cache, paper §5.3). 0 uses 8192 entries;
-	// negative disables caching.
-	LogCacheSize int
 	// BatchMaxRecords, BatchMaxBytes, BatchLinger, and BatchWindow tune
 	// the batched dataplane: task appenders coalesce data, change-log,
 	// and control-adjacent appends into group commits sealed at
@@ -293,20 +289,12 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	r := sim.NewRand(cfg.Seed)
 	faults := sim.NewFaultInjector()
 
-	cacheSize := cfg.LogCacheSize
-	if cacheSize == 0 {
-		cacheSize = 8192
-	}
-	if cacheSize < 0 {
-		cacheSize = 0
-	}
 	logCfg := sharedlog.Config{
 		NumShards:        cfg.LogShards,
 		Replication:      cfg.Replication,
 		OrderingInterval: cfg.OrderingInterval,
 		OrderingShards:   cfg.OrderingShards,
 		Faults:           faults,
-		CacheSize:        cacheSize,
 		WAL:              cfg.WAL,
 	}
 	var coordLat sim.LatencyModel

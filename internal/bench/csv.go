@@ -61,9 +61,7 @@ func WriteFig7CSV(w io.Writer, series []*Fig7Series) error {
 				strconv.FormatUint(p.Sent, 10),
 				strconv.FormatUint(p.Received, 10),
 				strconv.FormatUint(p.Log.Appends, 10),
-				strconv.FormatUint(p.Log.ReadNext+p.Log.ReadNextAny+p.Log.ReadExact+p.Log.ReadPrev, 10),
-				strconv.FormatUint(p.Log.CacheHits, 10),
-				strconv.FormatUint(p.Log.CacheMisses, 10),
+				strconv.FormatUint(logReads(p.Log), 10),
 				strconv.FormatUint(p.Log.SequencerCuts, 10),
 				fmt.Sprintf("%.2f", p.Log.MeanCutBatch),
 				strconv.Itoa(p.Log.OrderingShards),
@@ -93,7 +91,7 @@ func WriteFig7CSV(w io.Writer, series []*Fig7Series) error {
 	}
 	return writeCSV(w,
 		[]string{"query", "protocol", "rate_eps", "p50_us", "p99_us", "p999_us", "p9999_us", "mean_us", "sent", "received",
-			"log_appends", "log_reads", "cache_hits", "cache_misses",
+			"log_appends", "log_reads",
 			"seq_cuts", "mean_cut_batch", "ordering_shards", "cut_skew", "wakeups", "useful_wakeups",
 			"batch_appends", "mean_append_batch", "batch_stalls",
 			"cursor_opens", "cursor_batch_reads", "cursor_records",

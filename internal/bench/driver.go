@@ -117,7 +117,7 @@ type RunResult struct {
 	Mean        time.Duration
 	Metrics     core.QueryMetrics
 	// Log snapshots the shared log's counters at the end of the run:
-	// appends, reads by kind, cache traffic, sequencer cuts, and reader
+	// appends, reads by kind, sequencer cuts, and reader
 	// wakeups (total vs useful — with per-tag waiters the ratio is ~1).
 	Log sharedlog.Stats
 	// Delivery snapshots the egress retry layer (attempts, redeliveries,

@@ -117,10 +117,9 @@ func PrintFig7(w io.Writer, series []*Fig7Series) {
 		fmt.Fprintf(w, "%-20s saturation throughput: %d events/s\n", s.Protocol, s.SaturationRate)
 		if n := len(s.Points); n > 0 {
 			ls := s.Points[n-1].Log
-			fmt.Fprintf(w, "%-20s log @%d eps: appends=%d reads=%d cache=%s cuts=%d (mean batch %.1f) wakeups=%d useful=%d group-commits=%d (mean %.1f)\n",
+			fmt.Fprintf(w, "%-20s log @%d eps: appends=%d reads=%d cuts=%d (mean batch %.1f) wakeups=%d useful=%d group-commits=%d (mean %.1f)\n",
 				s.Protocol, s.Points[n-1].Config.Rate,
-				ls.Appends, ls.ReadNext+ls.ReadNextAny+ls.ReadExact+ls.ReadPrev,
-				cacheHitRate(ls), ls.SequencerCuts, ls.MeanCutBatch,
+				ls.Appends, logReads(ls), ls.SequencerCuts, ls.MeanCutBatch,
 				ls.ReaderWakeups, ls.UsefulWakeups,
 				ls.BatchAppends, ls.MeanAppendBatch)
 			qm := s.Points[n-1].Metrics
@@ -130,13 +129,10 @@ func PrintFig7(w io.Writer, series []*Fig7Series) {
 	}
 }
 
-// cacheHitRate formats the client-cache hit ratio for a stats snapshot.
-func cacheHitRate(s sharedlog.Stats) string {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return "off"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(s.CacheHits)/float64(total))
+// logReads is the number of read round trips the log served: one per
+// cursor fetch, whatever its batch size, plus the point reads.
+func logReads(s sharedlog.Stats) uint64 {
+	return s.CursorBatchReads + s.ReadExact + s.ReadPrev
 }
 
 // Figure 8 (paper §5.3.2): p50/p99 at commit intervals 100/50/25/10 ms,

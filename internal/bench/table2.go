@@ -99,18 +99,19 @@ func measureBoki(cfg Table2Config, rate int) (*Hist, sharedlog.Stats, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// Consumer on "another node": a blocking tag read per record.
+	// Consumer on "another node": one blocking read round trip per
+	// record (a cursor batch of one, readahead off), as the table
+	// measures a single produce-to-consume exchange.
 	done := make(chan struct{})
 	starts := make(chan time.Time, 1024)
 	go func() {
 		defer close(done)
-		var cursor sharedlog.LSN
+		cur := log.OpenCursorOpts([]sharedlog.Tag{"t2"}, 0, sharedlog.CursorOptions{Prefetch: -1})
 		for {
-			rec, err := log.ReadNextBlocking(ctx, "t2", cursor)
-			if err != nil || rec == nil {
+			recs, err := cur.NextBatchBlocking(ctx, 1)
+			if err != nil || len(recs) == 0 {
 				return
 			}
-			cursor = rec.LSN + 1
 			start, ok := <-starts
 			if !ok {
 				return
@@ -205,8 +206,7 @@ func PrintTable2(w io.Writer, rows []Table2Row) {
 	}
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-4d aps | log appends=%d reads=%d wakeups=%d useful=%d\n",
-			r.Rate, r.BokiLog.Appends,
-			r.BokiLog.ReadNext+r.BokiLog.ReadNextAny+r.BokiLog.ReadExact+r.BokiLog.ReadPrev,
+			r.Rate, r.BokiLog.Appends, logReads(r.BokiLog),
 			r.BokiLog.ReaderWakeups, r.BokiLog.UsefulWakeups)
 	}
 }

@@ -43,11 +43,13 @@ import (
 )
 
 // Config parameterizes one chaos run. The zero value is not runnable;
-// Query must be one of 1, 11, 12 (the queries with closed-form output
-// oracles).
+// Query must be one of 1, 8, 11, 12 (the queries with closed-form
+// output oracles).
 type Config struct {
-	// Query selects the NEXMark query: 1 (stateless map), 11 (session
-	// windows), or 12 (tumbling windows).
+	// Query selects the NEXMark query: 1 (stateless map), 8 (two-input
+	// windowed join — the only one whose tasks read several substreams
+	// of different streams through one cursor), 11 (session windows),
+	// or 12 (tumbling windows).
 	Query int
 	// Protocol selects the fault-tolerance protocol under test.
 	Protocol impeller.Protocol
@@ -439,8 +441,9 @@ func (r *Result) String() string {
 // eventSpacing returns the synthetic event-time step for a query,
 // chosen so the run exercises that query's window semantics: Q11's
 // span stays far inside one session gap (one session per bidder, so
-// the oracle's expected count is closed-form), Q12's span crosses a
-// tumbling-window boundary.
+// the oracle's expected count is closed-form, and far inside Q8's join
+// window, so every auction owes a pair with each record of its seller),
+// Q12's span crosses a tumbling-window boundary.
 func eventSpacing(query int) int64 {
 	if query == 12 {
 		return 25_000 // 25 ms × 600 events ≈ 15 s: crosses the 10 s window
@@ -500,7 +503,7 @@ func Run(cfg Config) (*Result, error) {
 	// consumer itself is wrapped in the plan's fault schedule.
 	runCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	outs := newOutputs()
+	outs := newOutputs(cfg.Query)
 	cons := newEgressConsumer(outs)
 	faulty := newFaultyConsumer(cons, plan.Consumer)
 	runner := newEgressRunner(app, nexmark.OutputStream(cfg.Query), faulty, core.DeliveryOptions{})

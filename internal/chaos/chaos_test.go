@@ -121,6 +121,43 @@ func TestChaosShards4(t *testing.T) {
 	}
 }
 
+// TestChaosQ8 adds the two-input cell the matrix lacked: Q8's join tasks
+// read the person and the auction substreams — and their upstreams'
+// markers — through one multi-tag cursor, the reader shape that lost
+// records when a cursor could see half a publication group. 1 ms cuts
+// at 2 and 4 ordering shards under progress markers, in -short too; the
+// oracle holds the exact owed (person, auction) pair multiset.
+func TestChaosQ8(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		shards := shards
+		t.Run(fmt.Sprintf("q8-%s-shards%d", impeller.ProgressMarker, shards), func(t *testing.T) {
+			t.Parallel()
+			res, err := Run(Config{
+				Query: 8, Protocol: impeller.ProgressMarker, Seed: 7,
+				OrderingShards: shards, OrderingInterval: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Log(res)
+			if res.Violation != "" {
+				t.Fatalf("exactly-once violation: %s", res.Violation)
+			}
+			if !res.Converged {
+				t.Fatalf("output never converged: sent=%d pairs=%d delivered=%d restarts=%d",
+					res.Sent, res.Bids, res.Delivered, res.Restarts)
+			}
+			if res.Bids == 0 || res.Delivered != uint64(res.Bids) {
+				t.Fatalf("delivered %d pairs, oracle owes %d", res.Delivered, res.Bids)
+			}
+			if res.Restarts == 0 {
+				t.Fatal("no task ever restarted; the schedule injected nothing")
+			}
+			assertEgress(t, res)
+		})
+	}
+}
+
 // TestChaosTasklet pins chaos cells to the cooperative tasklet engine:
 // the full fault plan (kills, zombies, node crashes, infra faults, sink
 // kills, consumer faults) must produce the same exactly-once outcome

@@ -17,6 +17,10 @@ import (
 type outputs struct {
 	mu    sync.Mutex
 	cells map[string]*cell
+	// byPair keys cells by key‖value instead of key. Q8's output key is
+	// the person, which legitimately repeats once per auction; the pair
+	// is what must be delivered exactly once.
+	byPair bool
 }
 
 type cell struct {
@@ -24,16 +28,20 @@ type cell struct {
 	last  []byte
 }
 
-func newOutputs() *outputs {
-	return &outputs{cells: make(map[string]*cell)}
+func newOutputs(query int) *outputs {
+	return &outputs{cells: make(map[string]*cell), byPair: query == 8}
 }
 
 func (o *outputs) add(key, value []byte) {
+	id := string(key)
+	if o.byPair {
+		id += string(value)
+	}
 	o.mu.Lock()
-	c := o.cells[string(key)]
+	c := o.cells[id]
 	if c == nil {
 		c = &cell{}
-		o.cells[string(key)] = c
+		o.cells[id] = c
 	}
 	c.count++
 	c.last = append(c.last[:0], value...)
@@ -57,12 +65,14 @@ func newOracle(query int) (oracle, error) {
 	switch query {
 	case 1:
 		return &q1Oracle{expect: make(map[string][]byte)}, nil
+	case 8:
+		return &q8Oracle{persons: make(map[uint64][]q8Person)}, nil
 	case 11:
 		return &q11Oracle{bidders: make(map[uint64]*span)}, nil
 	case 12:
 		return &q12Oracle{expect: make(map[q12Key]uint64)}, nil
 	}
-	return nil, fmt.Errorf("chaos: no oracle for query %d (want 1, 11, or 12)", query)
+	return nil, fmt.Errorf("chaos: no oracle for query %d (want 1, 8, 11, or 12)", query)
 }
 
 func u64le(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
@@ -110,6 +120,98 @@ func (q *q1Oracle) check(o *outputs) (bool, string) {
 		}
 	}
 	return len(o.cells) == len(q.expect), ""
+}
+
+// q8Oracle checks the new-user join against its closed form: an output
+// pair (person, auction) is owed exactly when the auction's seller is
+// the person and their event times lie within nexmark.Q8Window of each
+// other — in either arrival order, the join being symmetric. The
+// generators share one id space, so a person id (and an auction id) can
+// occur once per generator; the oracle therefore holds the exact
+// multiset: per (person id, name, auction id), how many record pairs
+// owe that output. Any delivery beyond that count, or of a pair nothing
+// owes, is a violation; the run is done when every count is met.
+type q8Oracle struct {
+	mu       sync.Mutex
+	persons  map[uint64][]q8Person // every person record, by id
+	auctions []q8Auction
+}
+
+type q8Person struct {
+	name string
+	time int64
+}
+
+type q8Auction struct {
+	id, seller uint64
+	time       int64
+}
+
+func (q *q8Oracle) record(key, payload []byte) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if p, err := nexmark.DecodePerson(payload); err == nil {
+		q.persons[p.ID] = append(q.persons[p.ID], q8Person{p.Name, p.DateTime})
+	} else if a, err := nexmark.DecodeAuction(payload); err == nil {
+		q.auctions = append(q.auctions, q8Auction{a.ID, a.Seller, a.DateTime})
+	}
+}
+
+// owedLocked returns the owed multiset, keyed like the outputs' cells:
+// the join's key (person id) followed by its value (name, auction id).
+func (q *q8Oracle) owedLocked() map[string]uint64 {
+	owed := make(map[string]uint64)
+	window := nexmark.Q8Window.Microseconds()
+	for _, a := range q.auctions {
+		for _, p := range q.persons[a.seller] {
+			if d := a.time - p.time; d >= -window && d <= window {
+				owed[q8Cell(a.seller, p.name, a.id)]++
+			}
+		}
+	}
+	return owed
+}
+
+// q8Cell spells a pair the way the query delivers it: key u64 person
+// id, value u16-length-prefixed name then u64 auction id.
+func q8Cell(person uint64, name string, auction uint64) string {
+	b := u64le(person)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
+	b = append(b, name...)
+	return string(binary.LittleEndian.AppendUint64(b, auction))
+}
+
+func (q *q8Oracle) inputs() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := 0
+	for _, c := range q.owedLocked() {
+		n += int(c)
+	}
+	return n
+}
+
+func (q *q8Oracle) check(o *outputs) (bool, string) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	owed := q.owedLocked()
+	for pair, c := range o.cells {
+		want, ok := owed[pair]
+		if !ok {
+			return false, fmt.Sprintf("q8: delivered pair %x is owed by no (person, auction) input", pair)
+		}
+		if c.count > want {
+			return false, fmt.Sprintf("q8: pair %x delivered %d times, owed %d", pair, c.count, want)
+		}
+	}
+	for pair, want := range owed {
+		if c, ok := o.cells[pair]; !ok || c.count != want {
+			return false, ""
+		}
+	}
+	return true, ""
 }
 
 // span is one bidder's expected session: the harness spaces event

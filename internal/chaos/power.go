@@ -194,7 +194,7 @@ func RunPower(cfg PowerConfig) (*PowerResult, error) {
 	// consumer whose applied set (and dedupe floors) outlives the
 	// cluster, as a downstream database would.
 	dev := wal.NewDevice()
-	outs := newOutputs()
+	outs := newOutputs(cfg.Query)
 	cons := newEgressConsumer(outs)
 	stream := nexmark.OutputStream(cfg.Query)
 	half := cfg.Events / 2

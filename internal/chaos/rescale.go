@@ -201,7 +201,7 @@ func RunRescale(cfg RescaleConfig) (*RescaleResult, error) {
 	// the external consumer's applied set behind a delivery sink.
 	runCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	outs := newOutputs()
+	outs := newOutputs(cfg.Query)
 	cons := newEgressConsumer(outs)
 	runner := newEgressRunner(app, nexmark.OutputStream(cfg.Query), cons, core.DeliveryOptions{})
 	if !runner.launch(runCtx) {

@@ -66,13 +66,7 @@ func TestAlignedBarrierBlocking(t *testing.T) {
 	// Wait for the pre-barrier records to flow to the output.
 	readOutputs := func() []string {
 		var out []string
-		var cursor LSN
-		for {
-			rec, err := env.Log.ReadNext(DataTag("out", 0), cursor)
-			if err != nil || rec == nil {
-				return out
-			}
-			cursor = rec.LSN + 1
+		for _, rec := range scanTag(t, env.Log, DataTag("out", 0)) {
 			ob, err := DecodeBatch(rec.Payload)
 			if err != nil {
 				t.Fatal(err)
@@ -83,6 +77,7 @@ func TestAlignedBarrierBlocking(t *testing.T) {
 				}
 			}
 		}
+		return out
 	}
 	waitFor := func(desc string, pred func() bool) {
 		t.Helper()
@@ -136,13 +131,7 @@ func TestAlignedBarrierBlocking(t *testing.T) {
 
 	// The forwarded barrier reached the output substream.
 	var sawBarrier bool
-	var cursor LSN
-	for {
-		rec, err := env.Log.ReadNext(DataTag("out", 0), cursor)
-		if err != nil || rec == nil {
-			break
-		}
-		cursor = rec.LSN + 1
+	for _, rec := range scanTag(t, env.Log, DataTag("out", 0)) {
 		ob, _ := DecodeBatch(rec.Payload)
 		if ob.Kind == KindBarrier && ob.Epoch == 1 {
 			sawBarrier = true
@@ -240,13 +229,7 @@ func TestUnsafeRecoveryReplaysChangelogAndSkipsToTail(t *testing.T) {
 	for {
 		var seen uint64
 		// Read the output stream directly for the final count value.
-		var cursor LSN
-		for {
-			rec, err := env.Log.ReadNext(DataTag("out", 0), cursor)
-			if err != nil || rec == nil {
-				break
-			}
-			cursor = rec.LSN + 1
+		for _, rec := range scanTag(t, env.Log, DataTag("out", 0)) {
 			ob, _ := DecodeBatch(rec.Payload)
 			if ob.Kind != KindData {
 				continue

@@ -212,11 +212,11 @@ func TestDeliverySinkDeadLettersPermanentFailures(t *testing.T) {
 	ds.Stop()
 
 	// The record itself is parked on the dead-letter substream.
-	rec, err := env.Log.ReadNext(DeadLetterTag("out", "0"), 0)
-	if err != nil || rec == nil {
-		t.Fatalf("dead-letter stream read: rec=%v err=%v", rec, err)
+	dead := scanTag(t, env.Log, DeadLetterTag("out", "0"))
+	if len(dead) == 0 {
+		t.Fatal("dead-letter stream is empty")
 	}
-	b, err := DecodeBatch(rec.Payload)
+	b, err := DecodeBatch(dead[0].Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

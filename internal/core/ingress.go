@@ -34,6 +34,19 @@ type Ingress struct {
 	// Env.Batch at construction, off when MaxRecords is pinned to 1.
 	batched bool
 
+	// flushMu serializes this writer's flushes from buffer take to
+	// append completion (including the failure re-buffer), so its
+	// batches reach the log in sequence order. Downstream dedup is a
+	// per-producer sequence floor, which is only sound over an in-order
+	// channel: two flushes appending concurrently (the timer and
+	// App.FlushIngress) could land reordered, and the earlier batch
+	// would be dropped as duplicates. Send takes only mu, never this.
+	flushMu sync.Mutex
+	// flushHook, if set (tests only), runs inside a flush after its
+	// records were taken and their sequence range reserved, before the
+	// append.
+	flushHook func()
+
 	mu       sync.Mutex
 	bufs     []*batchBuf
 	seq      uint64
@@ -104,6 +117,9 @@ type ingressPending struct {
 }
 
 func (g *Ingress) flush(ctx context.Context) error {
+	g.flushMu.Lock()
+	defer g.flushMu.Unlock()
+
 	g.mu.Lock()
 	var out []ingressPending
 	for sub, buf := range g.bufs {
@@ -124,6 +140,9 @@ func (g *Ingress) flush(ctx context.Context) error {
 	// covering its sequence number is durable too.
 	if reserve > 0 {
 		g.env.Log.Meta().Set(seqReservationKey(g.ID), reserve)
+	}
+	if g.flushHook != nil {
+		g.flushHook()
 	}
 
 	var err error

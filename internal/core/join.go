@@ -37,13 +37,26 @@ func (j *streamStreamJoin) Open(ctx ProcContext) error {
 	return nil
 }
 
-// Buffer layout: <name>/<side>/<key>/<eventTime:be64>/<seq:be64> -> value.
-// Event-time-ordered keys let eviction scan old entries first.
-func (j *streamStreamJoin) bufKey(side int, key []byte, et int64, seq uint64) string {
+// freeBufKey returns the state key a stream-stream join buffers the
+// record under. Layout: <name>/<side>/<key>/<eventTime:be64>/<seq:be64>;
+// event-time-ordered keys let eviction scan old entries first, and seq
+// tells apart records of one key and event time. The counter lives in
+// memory and restarts with the task, so a replacement instance can
+// reach a number an earlier one already gave such a record: the key is
+// probed and the counter advanced until it is free — storing under a
+// taken key would overwrite a buffered record, and every later partner
+// would join one record too few.
+func freeBufKey(st *StateStore, name string, side int, key []byte, et int64, seq *uint64) string {
 	var ts [16]byte
 	binary.BigEndian.PutUint64(ts[:8], uint64(et))
-	binary.BigEndian.PutUint64(ts[8:], seq)
-	return fmt.Sprintf("%s/%d/%s/%s", j.name, side, key, ts[:])
+	for {
+		*seq++
+		binary.BigEndian.PutUint64(ts[8:], *seq)
+		k := fmt.Sprintf("%s/%d/%s/%s", name, side, key, ts[:])
+		if _, taken := st.Get(k); !taken {
+			return k
+		}
+	}
 }
 
 func (j *streamStreamJoin) Process(port int, d Datum, emit Emit) error {
@@ -51,8 +64,7 @@ func (j *streamStreamJoin) Process(port int, d Datum, emit Emit) error {
 		return fmt.Errorf("stream-stream join: bad port %d", port)
 	}
 	st := j.ctx.Store()
-	j.seq++
-	st.Put(j.bufKey(port, d.Key, d.EventTime, j.seq), d.Value)
+	st.Put(freeBufKey(st, j.name, port, d.Key, d.EventTime, &j.seq), d.Value)
 
 	// Scan the opposite side's buffer for this key within the window.
 	// The scan is the join's bulk work; charge each visited entry so the

@@ -75,20 +75,13 @@ func (j *streamStreamLeftJoin) Open(ctx ProcContext) error {
 // prepended to the stored value:
 //
 //	<name>/<side>/<key>/<eventTime:be64>/<seq:be64> -> matched(1) value
-func (j *streamStreamLeftJoin) bufKey(side int, key []byte, et int64, seq uint64) string {
-	var ts [16]byte
-	binary.BigEndian.PutUint64(ts[:8], uint64(et))
-	binary.BigEndian.PutUint64(ts[8:], seq)
-	return fmt.Sprintf("%s/%d/%s/%s", j.name, side, key, ts[:])
-}
 
 func (j *streamStreamLeftJoin) Process(port int, d Datum, emit Emit) error {
 	if port != 0 && port != 1 {
 		return fmt.Errorf("stream-stream left join: bad port %d", port)
 	}
 	st := j.ctx.Store()
-	j.seq++
-	myKey := j.bufKey(port, d.Key, d.EventTime, j.seq)
+	myKey := freeBufKey(st, j.name, port, d.Key, d.EventTime, &j.seq)
 	myMatched := false
 
 	other := 1 - port

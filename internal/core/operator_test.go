@@ -414,6 +414,43 @@ func TestStreamStreamJoinBothDirections(t *testing.T) {
 	}
 }
 
+// TestStreamStreamJoinKeepsEqualTimeRecordsAcrossRestart: two records
+// of one key and one event time, the second processed by a replacement
+// instance over the recovered state (its in-memory sequence counter is
+// back at zero), must both stay buffered — a later partner joins both.
+// Q8 under chaos lost a pair per partner this way: the restarted join
+// gave the second person record the first one's buffer key.
+func TestStreamStreamJoinKeepsEqualTimeRecordsAcrossRestart(t *testing.T) {
+	for name, build := range map[string]func(string, time.Duration, Joiner) Processor{
+		"inner": StreamStreamJoin, "left": StreamStreamLeftJoin,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctx := newFakeCtx()
+			var out []string
+			emit := func(_ int, d Datum) { out = append(out, string(d.Value)) }
+			for _, left := range []string{"L1", "L2"} {
+				j := build("j", 10*time.Second, func(_, l, r []byte) []byte {
+					return []byte(fmt.Sprintf("%s+%s", l, r))
+				})
+				if err := j.Open(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Process(0, d("k", left, us(time.Second)), emit); err != nil {
+					t.Fatal(err)
+				}
+				if left == "L2" {
+					if err := j.Process(1, d("k", "R", us(2*time.Second)), emit); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if len(out) != 2 || out[0] != "L1+R" || out[1] != "L2+R" {
+				t.Fatalf("partner joined %v, want [L1+R L2+R]", out)
+			}
+		})
+	}
+}
+
 func TestStreamTableJoin(t *testing.T) {
 	j := StreamTableJoin("j", func(key, stream, table []byte) []byte {
 		return append(append([]byte{}, stream...), table...)

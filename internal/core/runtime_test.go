@@ -5,12 +5,30 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"impeller/internal/kvstore"
 	"impeller/internal/sharedlog"
 )
+
+// scanTag returns every record on tag's substream, in log order.
+func scanTag(t *testing.T, log *sharedlog.Log, tag sharedlog.Tag) []*sharedlog.Record {
+	t.Helper()
+	var out []*sharedlog.Record
+	cur := log.OpenCursor([]sharedlog.Tag{tag}, 0)
+	for {
+		recs, err := cur.NextBatch(64)
+		if err != nil {
+			t.Fatalf("scan %s: %v", tag, err)
+		}
+		if len(recs) == 0 {
+			return out
+		}
+		out = append(out, recs...)
+	}
+}
 
 func TestBatcherPreservesSubmissionOrder(t *testing.T) {
 	log := sharedlog.Open(sharedlog.Config{})
@@ -46,16 +64,14 @@ func TestBatcherPreservesSubmissionOrder(t *testing.T) {
 		}
 	}
 	// Payload order must match submission order in the log.
-	var cursor LSN
-	for i := 0; i < 100; i++ {
-		rec, err := log.ReadNext("t", cursor)
-		if err != nil || rec == nil {
-			t.Fatal(err)
-		}
+	recs := scanTag(t, log, "t")
+	if len(recs) != 100 {
+		t.Fatalf("log holds %d records, want 100", len(recs))
+	}
+	for i, rec := range recs {
 		if rec.Payload[0] != byte(i) {
 			t.Fatalf("payload %d at position %d", rec.Payload[0], i)
 		}
-		cursor = rec.LSN + 1
 	}
 }
 
@@ -90,16 +106,7 @@ func TestIngressPartitionsByKey(t *testing.T) {
 	// Every record must be in the substream its key hashes to.
 	found := 0
 	for sub := 0; sub < 4; sub++ {
-		var cursor LSN
-		for {
-			rec, err := env.Log.ReadNext(DataTag("in", sub), cursor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec == nil {
-				break
-			}
-			cursor = rec.LSN + 1
+		for _, rec := range scanTag(t, env.Log, DataTag("in", sub)) {
 			b, err := DecodeBatch(rec.Payload)
 			if err != nil {
 				t.Fatal(err)
@@ -133,16 +140,7 @@ func TestIngressSeqMonotonicAcrossFlushes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var cursor LSN
-	for {
-		rec, err := env.Log.ReadNext(DataTag("in", 0), cursor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec == nil {
-			break
-		}
-		cursor = rec.LSN + 1
+	for _, rec := range scanTag(t, env.Log, DataTag("in", 0)) {
 		b, _ := DecodeBatch(rec.Payload)
 		for _, r := range b.Records {
 			if r.Seq <= want {
@@ -153,6 +151,106 @@ func TestIngressSeqMonotonicAcrossFlushes(t *testing.T) {
 	}
 	if want != 15 {
 		t.Fatalf("last seq = %d, want 15", want)
+	}
+}
+
+// TestIngressConcurrentFlushesStayInSeqOrder pins the per-writer flush
+// mutex: a second Flush (App.FlushIngress racing the flush timer) that
+// starts while the first sits between taking its records and appending
+// them must not reach the log first. Without the mutex the later batch
+// overtakes, the downstream per-producer floor jumps past the earlier
+// batch's sequence numbers, and that batch is dropped as duplicates.
+func TestIngressConcurrentFlushesStayInSeqOrder(t *testing.T) {
+	env := &Env{
+		Log:            sharedlog.Open(sharedlog.Config{}),
+		Checkpoints:    kvstore.Open(kvstore.Config{}),
+		Protocol:       ProtoProgressMarker,
+		CommitInterval: 10 * time.Millisecond,
+	}
+	defer env.Log.Close()
+	q := &Query{
+		Name: "pass",
+		Stages: []*Stage{{
+			Name:        "pass/s",
+			Parallelism: 1,
+			Inputs:      []StreamID{"in"},
+			Outputs:     []OutputSpec{{Stream: "out", Partitions: 1}},
+			NewProcessor: func() Processor {
+				return ProcessorFunc(func(_ int, d Datum, emit Emit) error { emit(0, d); return nil })
+			},
+		}},
+	}
+	mgr, err := NewManager(env, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := mgr.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Stop()
+
+	ing := NewIngress("ingress/0", "in", 1, mgr.Env(), nil)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hookCalls atomic.Int32
+	ing.flushHook = func() {
+		if hookCalls.Add(1) == 1 { // park the first flush only
+			close(entered)
+			<-release
+		}
+	}
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			ing.Send([]byte("k"), []byte("v"), time.Now().UnixMicro())
+		}
+	}
+	send(5)
+	first := make(chan error, 1)
+	go func() { first <- ing.Flush() }()
+	<-entered
+	send(5) // Send never waits for a flush in flight
+	second := make(chan error, 1)
+	go func() { second <- ing.Flush() }()
+	// The second flush either overtakes (the bug) or waits on the first;
+	// waiting cannot be observed, so give overtaking time to happen.
+	select {
+	case err := <-second:
+		second <- err // overtook; put the result back for the check below
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	for i, done := range []chan error{first, second} {
+		if err := <-done; err != nil {
+			t.Fatalf("flush %d: %v", i+1, err)
+		}
+	}
+
+	sink := NewGatedSink("out", 1, mgr.Env())
+	go func() { _ = sink.Run(ctx) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for sink.Counts().Received < 10 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	var last uint64
+	for _, rec := range scanTag(t, env.Log, DataTag("in", 0)) {
+		b, err := DecodeBatch(rec.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range b.Records {
+			if r.Seq != last+1 {
+				t.Fatalf("log holds seq %d after %d: the writer's batches are out of order", r.Seq, last)
+			}
+			last = r.Seq
+		}
+	}
+	if last != 10 {
+		t.Fatalf("log holds seqs up to %d, want 10", last)
+	}
+	if c, m := sink.Counts(), mgr.Metrics(); c.Received != 10 || m.DroppedDuplicate != 0 {
+		t.Fatalf("downstream delivered %d of 10 and dropped %d as duplicates, want 10 and 0", c.Received, m.DroppedDuplicate)
 	}
 }
 

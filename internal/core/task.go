@@ -498,8 +498,7 @@ func (t *Task) Run(ctx context.Context) error {
 
 	// The input hot path is a streaming cursor over every input tag:
 	// one log round trip serves up to readBatch records (plus bounded
-	// readahead) where the old loop paid one ReadNextAnyBlocking per
-	// record.
+	// readahead).
 	t.inCursor = t.log.OpenCursorOpts(t.inputTags, t.cursor, t.inputCursorOpts())
 
 	clock := t.env.Clock

@@ -97,23 +97,10 @@ func (l *Log) AppendBatch(entries []AppendEntry) ([]AppendResult, error) {
 	l.stats.batchRecords.Add(uint64(len(entries)))
 
 	if !l.ordering {
-		// Immediate mode: guard checks, LSN assignment, and publication
-		// for the whole group happen under one acquisition of the
-		// ordering mutex, then one vectorized index pass.
-		l.mu.Lock()
-		if l.closed.Load() {
-			l.mu.Unlock()
-			return nil, ErrClosed
-		}
 		results := make([]appendResult, len(pend))
-		recs := l.orderLocked(pend, results, make([]*Record, 0, len(pend)))
-		l.publishLocked(recs)
-		if l.dur != nil {
-			// One frame, one sync for the whole group — the durability
-			// plane inherits the group-commit amortization.
-			l.dur.writeCut(recs)
+		if err := l.commitImmediate(pend, results, make([]*Record, 0, len(pend))); err != nil {
+			return nil, err
 		}
-		l.mu.Unlock()
 		return publicResults(results), nil
 	}
 	// Sequencer mode: the group rides one ordering shard — one serial

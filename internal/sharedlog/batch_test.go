@@ -70,9 +70,9 @@ func TestAppendBatchMultiTagAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tag := range tags {
-		rec, err := l.ReadNext(tag, 0)
+		rec, err := scanNext(l, 0, tag)
 		if err != nil || rec == nil {
-			t.Fatalf("ReadNext(%s) = %v, %v", tag, rec, err)
+			t.Fatalf("scan(%s) = %v, %v", tag, rec, err)
 		}
 		if rec.LSN != res[0].LSN {
 			t.Fatalf("tag %s sees LSN %d, want the single shared LSN %d", tag, rec.LSN, res[0].LSN)
@@ -191,7 +191,7 @@ func TestAppendBatchEquivalentToSingles(t *testing.T) {
 			for _, tag := range tagPool {
 				var bSeq, sSeq []string
 				for cur := LSN(0); ; {
-					rec, err := batched.l.ReadNext(tag, cur)
+					rec, err := scanNext(batched.l, cur, tag)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -207,7 +207,7 @@ func TestAppendBatchEquivalentToSingles(t *testing.T) {
 					cur = rec.LSN + 1
 				}
 				for cur := LSN(0); ; {
-					rec, err := single.l.ReadNext(tag, cur)
+					rec, err := scanNext(single.l, cur, tag)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -255,7 +255,7 @@ func TestAppendBatchConcurrentStress(t *testing.T) {
 			lastSeq := make(map[byte]uint32)
 			var cur LSN
 			for {
-				rec, err := l.ReadNext(tag, cur)
+				rec, err := scanNext(l, cur, tag)
 				if err != nil {
 					t.Errorf("reader %s: %v", tag, err)
 					return

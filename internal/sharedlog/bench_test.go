@@ -133,69 +133,6 @@ func BenchmarkAppendSequencerShards(b *testing.B) {
 	}
 }
 
-// BenchmarkReadNextHot measures parallel non-blocking reads of one hot
-// tag — the marker-fanout pattern where every downstream task re-reads
-// the same substream. On the committed path this must not take any
-// global lock.
-func BenchmarkReadNextHot(b *testing.B) {
-	l := Open(Config{})
-	defer l.Close()
-	payload := make([]byte, 128)
-	const n = 4096
-	for i := 0; i < n; i++ {
-		if _, err := l.Append([]Tag{"hot"}, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var cursor LSN
-		for pb.Next() {
-			rec, err := l.ReadNext("hot", cursor)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rec == nil {
-				cursor = 0
-				continue
-			}
-			cursor = rec.LSN + 1
-		}
-	})
-}
-
-// BenchmarkReadNextAnyFanIn measures the task read loop's shape: one
-// cursor over several input substreams (ReadNextAny with a tag set).
-func BenchmarkReadNextAnyFanIn(b *testing.B) {
-	l := Open(Config{})
-	defer l.Close()
-	payload := make([]byte, 128)
-	tags := []Tag{"in/0", "in/1", "in/2", "in/3"}
-	const n = 4096
-	for i := 0; i < n; i++ {
-		if _, err := l.Append([]Tag{tags[i%len(tags)]}, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var cursor LSN
-		for pb.Next() {
-			rec, err := l.ReadNextAny(tags, cursor)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rec == nil {
-				cursor = 0
-				continue
-			}
-			cursor = rec.LSN + 1
-		}
-	})
-}
-
 // BenchmarkMixed90Read10Write is the steady-state mix: mostly reads with
 // a trickle of appends. Under the old single-mutex log the writers
 // stalled every reader; with the split planes only writers serialize.
@@ -213,8 +150,10 @@ func BenchmarkMixed90Read10Write(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
-		var cursor LSN
 		tags := []Tag{"mix"}
+		// Readahead off and batches of one: every read is a fetch, so the
+		// mix measures the index and store paths, not a buffer.
+		cur := l.OpenCursorOpts(tags, 0, CursorOptions{Prefetch: -1})
 		for pb.Next() {
 			i++
 			if i%10 == 0 {
@@ -223,15 +162,13 @@ func BenchmarkMixed90Read10Write(b *testing.B) {
 				}
 				continue
 			}
-			rec, err := l.ReadNext("mix", cursor)
+			recs, err := cur.NextBatch(1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if rec == nil {
-				cursor = 0
-				continue
+			if len(recs) == 0 {
+				cur.Seek(0)
 			}
-			cursor = rec.LSN + 1
 		}
 	})
 }
@@ -250,14 +187,12 @@ func BenchmarkBlockingFanOut(b *testing.B) {
 			done := make(chan struct{})
 			for r := 0; r < readers; r++ {
 				go func(r int) {
-					tag := Tag(fmt.Sprintf("idle/%d", r))
-					var cursor LSN
+					cur := l.OpenCursor([]Tag{Tag(fmt.Sprintf("idle/%d", r))}, 0)
 					for {
-						rec, err := l.ReadNextBlocking(ctx, tag, cursor)
-						if err != nil || rec == nil {
+						recs, err := cur.NextBatchBlocking(ctx, 1)
+						if err != nil || len(recs) == 0 {
 							return
 						}
-						cursor = rec.LSN + 1
 						select {
 						case done <- struct{}{}:
 						case <-ctx.Done():
@@ -283,9 +218,8 @@ func BenchmarkBlockingFanOut(b *testing.B) {
 }
 
 // BenchmarkCursorHotTag measures the streaming hot path: one cursor
-// draining one hot tag in batches of 64. Compare ns/record against
-// BenchmarkReadNextHot for the per-record index/dispatch overhead a
-// batch amortizes; allocs/op must stay 0 (the cursor alloc gate).
+// draining one hot tag in batches of 64; allocs/op must stay 0 (the
+// cursor alloc gate).
 func BenchmarkCursorHotTag(b *testing.B) {
 	l := Open(Config{})
 	defer l.Close()
@@ -375,17 +309,16 @@ func BenchmarkReplayDepth(b *testing.B) {
 		defer l.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var cursor LSN
+			cur := l.OpenCursorOpts([]Tag{"change"}, 0, CursorOptions{Prefetch: -1})
 			got := 0
 			for {
-				rec, err := l.ReadNext("change", cursor)
+				recs, err := cur.NextBatch(1)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if rec == nil {
+				if len(recs) == 0 {
 					break
 				}
-				cursor = rec.LSN + 1
 				got++
 			}
 			if got != depth {

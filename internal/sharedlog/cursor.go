@@ -6,14 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// Streaming reads over the committed-read plane. A Cursor is the
-// read-side dual of AppendBatch: where PR 3's group commit pays one
-// append round trip per group, a cursor pays one index lookup, one
-// fault check, and one read-latency charge per *batch* of records
-// instead of per record. Tasks and recovery replay consume the log
-// through cursors; the per-record ReadNext family remains for point
-// reads and as the semantic reference the cursor is tested against
-// (cursor ≡ singles property test in cursor_test.go).
+// Streaming reads over the committed-read plane. A Cursor is the only
+// forward reader of the log and the read-side dual of AppendBatch:
+// where group commit pays one append round trip per group, a cursor
+// pays one index lookup per tag, one fault check, and one read-latency
+// charge per *batch* of records instead of per record. Tasks, sinks and
+// recovery replay all consume the log through cursors; a point read of
+// "the next record" is a cursor batch of one.
 //
 // Concurrency contract: a Cursor is owned by one consumer goroutine.
 // Opening many cursors concurrently (even over the same tags) is safe —
@@ -25,11 +24,8 @@ import (
 // position: the next record the cursor would return was garbage-
 // collected, so the stream has a hole and the consumer must re-seek
 // (typically to TrimHorizon, whose prefix is covered by a checkpoint).
-// The error is sticky until Seek.
-//
-// This is deliberately stricter than ReadNext, which silently skips a
-// trimmed gap when a live candidate exists past it: a streaming
-// consumer that missed records must find out.
+// The error is sticky until Seek. A cursor never skips a trimmed gap
+// silently: a streaming consumer that missed records must find out.
 var ErrCursorInvalidated = errors.New("sharedlog: cursor invalidated by trim")
 
 // DefaultCursorPrefetch is the readahead bound (records buffered beyond
@@ -215,12 +211,19 @@ func (c *Cursor) fetch(max int) error {
 		return c.invalidate()
 	}
 	want := max + c.prefetch
+	// The visible tail is loaded once, before the first lookup: the
+	// per-tag lookups are not atomic with each other, so without the
+	// clamp a group being inserted right now could show its higher LSN
+	// under one tag and not yet its lower LSN under another, and pos
+	// would jump past the lower one for good. Below the tail every group
+	// is wholly indexed, so the merged prefix is closed.
+	visible := LSN(l.index.visible.Load())
 	// One index lookup per tag per fetch (each takes its shard's read
 	// lock once), then a k-way merge in LSN order. A record carrying
 	// several watched tags appears in several candidate lists; the merge
 	// dedupes equal LSNs so it is returned once.
 	for i, tag := range c.tags {
-		c.perTag[i] = l.index.nextN(tag, c.pos, c.perTag[i][:0], want)
+		c.perTag[i] = l.index.nextN(tag, c.pos, visible, c.perTag[i][:0], want)
 		c.tagPos[i] = 0
 	}
 	c.merged = c.merged[:0]
@@ -300,9 +303,10 @@ func (c *Cursor) invalidate() error {
 }
 
 // NextBatchBlocking behaves like NextBatch but waits until at least one
-// record is readable, ctx is done, or the log closes. It parks on the
-// same per-tag waiters as the blocking point reads, so a commit wakes
-// the cursor only if it carries a watched tag.
+// record is readable, ctx is done, or the log closes. It parks on
+// per-tag waiters, so a commit wakes the cursor only if it carries a
+// watched tag (Stats' UsefulWakeups / ReaderWakeups ratio measures
+// exactly this).
 func (c *Cursor) NextBatchBlocking(ctx context.Context, max int) ([]*Record, error) {
 	l := c.log
 	woken := false
@@ -319,8 +323,8 @@ func (c *Cursor) NextBatchBlocking(ctx context.Context, max int) ([]*Record, err
 		}
 		w := newWaiter()
 		l.index.register(c.tags, w)
-		// Re-check: a record may have committed between the miss above
-		// and the registration; its commit saw no waiter to wake.
+		// Re-check: a group may have been published between the miss
+		// above and the registration; its wake pass saw no waiter.
 		recs, err = c.NextBatch(max)
 		if err != nil || len(recs) > 0 {
 			l.index.unregister(c.tags, w)

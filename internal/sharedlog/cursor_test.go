@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,9 +17,10 @@ import (
 // TestCursorEquivalentToSingles is the cursor's semantic anchor: over
 // random appends (random tag subsets), random trim points, random
 // watched tag sets, and random batch/prefetch sizes, draining a cursor
-// yields the byte-identical record sequence a ReadNextAny loop yields.
-// The one deliberate divergence — a cursor whose position a trim passed
-// invalidates instead of silently skipping the hole — is asserted too.
+// yields the byte-identical record sequence a full scan of the log by
+// exact LSN, filtered on the watched tags, yields. A cursor whose
+// position a trim passed invalidates instead of silently skipping the
+// hole — asserted too.
 func TestCursorEquivalentToSingles(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pool := []Tag{"a", "b", "c", "d", "e", "f"}
@@ -69,17 +72,17 @@ func TestCursorEquivalentToSingles(t *testing.T) {
 			}
 
 			var want []*Record
-			pos := from
-			for {
-				rec, err := l.ReadNextAny(watch, pos)
-				if err != nil {
-					t.Fatal(err)
+			for lsn := from; lsn < l.Tail(); lsn++ {
+				rec, err := l.Read(lsn)
+				if err != nil || rec == nil {
+					t.Fatalf("Read(%d) = %v, %v", lsn, rec, err)
 				}
-				if rec == nil {
-					break
+				for _, tg := range rec.Tags {
+					if slices.Contains(watch, tg) {
+						want = append(want, rec)
+						break
+					}
 				}
-				want = append(want, rec)
-				pos = rec.LSN + 1
 			}
 
 			var got []*Record
@@ -98,7 +101,7 @@ func TestCursorEquivalentToSingles(t *testing.T) {
 			}
 
 			if len(got) != len(want) {
-				t.Fatalf("trial %d q %d: cursor yielded %d records, singles %d (watch=%v from=%d)",
+				t.Fatalf("trial %d q %d: cursor yielded %d records, full scan %d (watch=%v from=%d)",
 					trial, q, len(got), len(want), watch, from)
 			}
 			for i := range want {
@@ -382,5 +385,163 @@ func TestCursorMultiTagDedup(t *testing.T) {
 		if rec.LSN != LSN(i) {
 			t.Fatalf("rec %d at LSN %d, want %d", i, rec.LSN, i)
 		}
+	}
+}
+
+// TestCursorMultiTagNoSkip races one cursor over eight tags against
+// four AppendBatch writers whose groups span several tags (and so
+// several index shards): the cursor must deliver LSNs 0…N−1 each
+// exactly once, in order. Without the visible tail a fetch could see a
+// group's higher LSN under one tag before its lower LSN landed under
+// another, jump its position past it, and never deliver it.
+func TestCursorMultiTagNoSkip(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"immediate", Config{}},
+		{"cuts-1ms-2-shards", Config{OrderingInterval: time.Millisecond, OrderingShards: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const tags, writers, perWriter, group = 8, 4, 4000, 4
+			l := Open(tc.cfg)
+			watch := make([]Tag, tags)
+			for i := range watch {
+				watch[i] = Tag(fmt.Sprintf("in/%d", i))
+			}
+			var wg sync.WaitGroup
+			defer func() {
+				l.Close() // fails the writers' pending appends if the reader gave up
+				wg.Wait()
+			}()
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					entries := make([]AppendEntry, group)
+					for i := 0; i < perWriter; i += group {
+						for j := range entries {
+							entries[j] = AppendEntry{Tags: []Tag{watch[(w+i+j)%tags]}, Payload: []byte{byte(w)}}
+						}
+						if _, err := l.AppendBatch(entries); err != nil {
+							if !errors.Is(err, ErrClosed) {
+								t.Errorf("writer %d: %v", w, err)
+							}
+							return
+						}
+					}
+				}(w)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			cur := l.OpenCursor(watch, 0)
+			for next := LSN(0); next < writers*perWriter; {
+				recs, err := cur.NextBatchBlocking(ctx, 64)
+				if err != nil {
+					t.Fatalf("waiting for LSN %d: %v", next, err)
+				}
+				for _, rec := range recs {
+					if rec.LSN != next {
+						t.Fatalf("cursor delivered LSN %d, want %d: %d records skipped", rec.LSN, next, rec.LSN-next)
+					}
+					next++
+				}
+			}
+		})
+	}
+}
+
+// pausePublication arms l's publish hook to park the next publication
+// between its insert pass and its visible-tail store. It returns a
+// channel that is closed once the publisher is parked there, and the
+// function that lets it go on.
+func pausePublication(l *Log) (parked <-chan struct{}, resume func()) {
+	in, out := make(chan struct{}), make(chan struct{})
+	l.publishHook = func() {
+		l.publishHook = nil // under l.mu, like every publication
+		close(in)
+		<-out
+	}
+	return in, func() { close(out) }
+}
+
+// TestCursorSeesWholeGroupsOnly stops a two-record, two-tag publication
+// after both records are in the index and before the visible tail
+// moves: a concurrent NextBatch over both tags must return nothing —
+// not the higher LSN, which index-shard bucketing may well have
+// inserted first — and the whole group, in order, once it is published.
+func TestCursorSeesWholeGroupsOnly(t *testing.T) {
+	l := openTest(t)
+	mustAppend(t, l, "before", "a")
+	cur := l.OpenCursor([]Tag{"a", "b"}, 1)
+	parked, resume := pausePublication(l)
+	done := make(chan error, 1)
+	go func() {
+		_, err := l.AppendBatch([]AppendEntry{
+			{Tags: []Tag{"a"}, Payload: []byte("lo")},
+			{Tags: []Tag{"b"}, Payload: []byte("hi")},
+		})
+		done <- err
+	}()
+	<-parked
+	if n := l.CountTag("a") + l.CountTag("b"); n != 3 {
+		t.Fatalf("index holds %d entries inside the window, want 3 (insert pass done)", n)
+	}
+	if recs, err := cur.NextBatch(8); err != nil || len(recs) != 0 {
+		t.Fatalf("NextBatch inside the window = %d records, %v; want none", len(recs), err)
+	}
+	if cur.Pos() != 1 {
+		t.Fatalf("cursor position moved to %d inside the window", cur.Pos())
+	}
+	resume()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	recs, err := cur.NextBatch(8)
+	if err != nil || len(recs) != 2 || recs[0].LSN != 1 || recs[1].LSN != 2 {
+		t.Fatalf("NextBatch after publication = %v, %v; want LSNs 1, 2", recs, err)
+	}
+}
+
+// TestCursorBlockingInsidePublicationWindow is the lost-wakeup case: a
+// cursor that goes blocking after the group's insert pass but before
+// the tail store re-checks against the old tail and parks. The wake
+// pass runs after the store, so it still finds that waiter; a wake pass
+// folded into the insert pass would have passed it by, and a feeder or
+// sink — which block without a deadline — would hang.
+func TestCursorBlockingInsidePublicationWindow(t *testing.T) {
+	l := openTest(t)
+	parked, resume := pausePublication(l)
+	appended := make(chan error, 1)
+	go func() {
+		_, err := l.AppendBatch([]AppendEntry{
+			{Tags: []Tag{"a"}, Payload: []byte("lo")},
+			{Tags: []Tag{"b"}, Payload: []byte("hi")},
+		})
+		appended <- err
+	}()
+	<-parked
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	type result struct {
+		recs []*Record
+		err  error
+	}
+	got := make(chan result, 1)
+	go func() {
+		recs, err := l.OpenCursor([]Tag{"a", "b"}, 0).NextBatchBlocking(ctx, 8)
+		got <- result{recs, err}
+	}()
+	// Registered on both tags means the cursor found nothing below the
+	// old tail; its re-check can find nothing either while the
+	// publisher is parked.
+	waitUntil(t, func() bool { return waitersOn(l, "a") == 1 && waitersOn(l, "b") == 1 })
+	resume()
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	r := <-got
+	if r.err != nil || len(r.recs) != 2 || r.recs[0].LSN != 0 || r.recs[1].LSN != 1 {
+		t.Fatalf("blocking cursor = %v, %v; want LSNs 0, 1", r.recs, r.err)
 	}
 }

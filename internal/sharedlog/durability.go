@@ -274,6 +274,7 @@ scan:
 				l.store.put(rec)
 			}
 			l.index.addRecords(recs)
+			l.index.visible.Store(uint64(l.store.committedTail()))
 			l.stats.recoveredRecords.Add(uint64(len(recs)))
 		case frameMetaSet:
 			if len(payload) < 8 {
@@ -332,7 +333,6 @@ scan:
 		if maxTrim > l.store.trimHorizon() {
 			l.store.trim(maxTrim)
 			l.index.prune(maxTrim)
-			l.cache.invalidate(maxTrim)
 		}
 	}
 	l.stats.recoveredTrims.Add(uint64(trims))

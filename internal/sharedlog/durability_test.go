@@ -83,9 +83,9 @@ func TestDurableRoundTripRestart(t *testing.T) {
 		t.Fatal("deleted meta key resurrected")
 	}
 	// Tag index rebuilt: selective reads see the substreams.
-	rec, err := r.ReadNext("t/1", 0)
+	rec, err := scanNext(r, r.TrimHorizon(), "t/1")
 	if err != nil || rec == nil || rec.LSN != 4 {
-		t.Fatalf("ReadNext(t/1) = %v, %v; want lsn 4", rec, err)
+		t.Fatalf("scan(t/1) = %v, %v; want lsn 4", rec, err)
 	}
 	st := r.Stats()
 	if st.RecoveredRecords != 20 || st.RecoveredMetaOps != 4 || st.WALTruncations != 0 {

@@ -39,12 +39,12 @@ func TestReadPartitionedShard(t *testing.T) {
 	s0 := l.shards[int(lsn)%4].name
 	s1 := l.shards[(int(lsn)+1)%4].name
 	faults.Partition("client", s0)
-	if _, err := l.ReadNext("t", lsn); err != nil {
+	if _, err := scanNext(l, lsn, "t"); err != nil {
 		t.Fatalf("one partitioned replica should not block reads: %v", err)
 	}
 	faults.Partition("client", s1)
-	if _, err := l.ReadNext("t", lsn); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("ReadNext with all replicas partitioned = %v, want ErrUnavailable", err)
+	if _, err := scanNext(l, lsn, "t"); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("scan with all replicas partitioned = %v, want ErrUnavailable", err)
 	}
 	if _, err := l.Read(lsn); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("Read with all replicas partitioned = %v, want ErrUnavailable", err)
@@ -53,9 +53,9 @@ func TestReadPartitionedShard(t *testing.T) {
 		t.Fatalf("ReadPrev with all replicas partitioned = %v, want ErrUnavailable", err)
 	}
 	faults.Heal("client", s0)
-	rec, err := l.ReadNext("t", lsn)
+	rec, err := scanNext(l, lsn, "t")
 	if err != nil || rec == nil {
-		t.Fatalf("ReadNext after heal = (%v, %v), want record", rec, err)
+		t.Fatalf("scan after heal = (%v, %v), want record", rec, err)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestReadDelaySpike(t *testing.T) {
 	}
 	faults.SetDelay("shard/0", 5*time.Millisecond)
 	before := clock.slept
-	if _, err := l.ReadNext("t", lsn); err != nil {
+	if _, err := scanNext(l, lsn, "t"); err != nil {
 		t.Fatal(err)
 	}
 	if got := clock.slept - before; got < 5*time.Millisecond {
@@ -90,7 +90,7 @@ func TestReadDelaySpike(t *testing.T) {
 	}
 	faults.ClearDelay("shard/0")
 	before = clock.slept
-	if _, err := l.ReadNext("t", lsn); err != nil {
+	if _, err := scanNext(l, lsn, "t"); err != nil {
 		t.Fatal(err)
 	}
 	if got := clock.slept - before; got != 0 {
@@ -114,74 +114,37 @@ func TestAppendSequencerDelaySpike(t *testing.T) {
 	}
 }
 
-// TestReadPrevUsesWarmedCache verifies the recovery read-path fix:
-// ReadPrev now resolves and serves through the same path as readNext,
-// so a record already pulled by a forward read is a client-cache hit
-// that charges no read latency. The old implementation bypassed the
-// cache and charged the read latency unconditionally on top of the
-// replica fault delay, double-charging recovery's backward marker scan
-// over records its own forward reads had just warmed.
-func TestReadPrevUsesWarmedCache(t *testing.T) {
+// TestReadPrevChargesReadLatencyOnce pins ReadPrev's cost model: every
+// completed backward read pays the read latency exactly once, plus the
+// serving replica's injected delay when there is one — a repeat of the
+// same read costs the same (there is no client cache to warm).
+func TestReadPrevChargesReadLatencyOnce(t *testing.T) {
+	faults := sim.NewFaultInjector()
 	clock := &sleepRecorder{}
 	const lat = time.Millisecond
-	l := Open(Config{ReadLatency: sim.FixedLatency(lat), Clock: clock, CacheSize: 16})
+	l := Open(Config{NumShards: 1, ReadLatency: sim.FixedLatency(lat), Clock: clock, Faults: faults})
 	defer l.Close()
 	if _, err := l.Append([]Tag{"t"}, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-
-	// A cold backward read pays exactly one read charge.
+	for _, delay := range []time.Duration{0, 0, 5 * time.Millisecond} {
+		if delay > 0 {
+			faults.SetDelay("shard/0", delay)
+		}
+		clock.slept = 0
+		rec, err := l.ReadPrev("t", MaxLSN)
+		if err != nil || rec == nil {
+			t.Fatalf("ReadPrev = (%v, %v), want record", rec, err)
+		}
+		if clock.slept != lat+delay {
+			t.Fatalf("ReadPrev under %v replica delay slept %v, want %v", delay, clock.slept, lat+delay)
+		}
+	}
 	clock.slept = 0
-	rec, err := l.ReadPrev("t", MaxLSN)
-	if err != nil || rec == nil {
-		t.Fatalf("cold ReadPrev = (%v, %v), want record", rec, err)
+	if rec, err := l.ReadPrev("absent", MaxLSN); err != nil || rec != nil {
+		t.Fatalf("ReadPrev(absent) = (%v, %v), want nil, nil", rec, err)
 	}
 	if clock.slept != lat {
-		t.Fatalf("cold ReadPrev slept %v, want %v (one charge)", clock.slept, lat)
-	}
-
-	// The cold read populated the cache; the warmed backward read is
-	// free. Before the fix this charged lat again.
-	clock.slept = 0
-	rec, err = l.ReadPrev("t", MaxLSN)
-	if err != nil || rec == nil {
-		t.Fatalf("warm ReadPrev = (%v, %v), want record", rec, err)
-	}
-	if clock.slept != 0 {
-		t.Fatalf("warm ReadPrev slept %v, want 0 (cache hit)", clock.slept)
-	}
-	if hits, _ := l.CacheStats(); hits != 1 {
-		t.Fatalf("cache hits = %d, want 1", hits)
-	}
-
-	// Same contract across directions: a forward read warms, the
-	// backward scan of the same record stays uncharged under an injected
-	// replica delay spike too (the delay is charged by the forward read).
-	faults := sim.NewFaultInjector()
-	clock2 := &sleepRecorder{}
-	l2 := Open(Config{NumShards: 1, ReadLatency: sim.FixedLatency(lat), Clock: clock2, CacheSize: 16, Faults: faults})
-	defer l2.Close()
-	lsn, err := l2.Append([]Tag{"t"}, []byte("y"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults.SetDelay("shard/0", 5*time.Millisecond)
-	clock2.slept = 0
-	if rec, err := l2.ReadNext("t", lsn); err != nil || rec == nil {
-		t.Fatalf("ReadNext = (%v, %v)", rec, err)
-	}
-	forward := clock2.slept
-	if forward != lat+5*time.Millisecond {
-		t.Fatalf("forward read slept %v, want %v", forward, lat+5*time.Millisecond)
-	}
-	clock2.slept = 0
-	if rec, err := l2.ReadPrev("t", MaxLSN); err != nil || rec == nil {
-		t.Fatalf("ReadPrev = (%v, %v)", rec, err)
-	}
-	// The backward read still traverses the replica (fault delay models
-	// reaching it) but the record body is served from the warm cache.
-	if clock2.slept != 5*time.Millisecond {
-		t.Fatalf("warm ReadPrev under delay slept %v, want %v (no read-latency recharge)",
-			clock2.slept, 5*time.Millisecond)
+		t.Fatalf("empty ReadPrev slept %v, want %v", clock.slept, lat)
 	}
 }

@@ -21,6 +21,20 @@ const indexShards = 16 // power of two; tags hash across these
 
 type tagIndex struct {
 	shards [indexShards]indexShard
+
+	// visible is the visible tail: one past the highest LSN whose whole
+	// publication group is in the index. Forward readers ignore index
+	// entries at or above it, so the prefix they merge is closed — a
+	// multi-tag reader can never see a group's higher LSN under one tag
+	// before its lower LSN landed under another, and skip past it.
+	// Stored by publishLocked (and by Recover while it replays).
+	visible atomic.Uint64
+
+	// buckets is addRecords' per-shard scratch, kept for wakeWaiters and
+	// reused by the next group; toWake is wakeWaiters' scratch. Both are
+	// owned by the (serialized) publisher.
+	buckets [indexShards][]tagInsert
+	toWake  []*waiter
 }
 
 type indexShard struct {
@@ -35,9 +49,9 @@ type tagEntry struct {
 	waiters []*waiter
 }
 
-// waiter is one blocked read. It may be registered on several tags
-// (ReadNextAny); the first commit on any of them wins the CAS and
-// closes the channel, so a waiter wakes at most once.
+// waiter is one blocked cursor. It may be registered on several tags;
+// the first commit on any of them wins the CAS and closes the channel,
+// so a waiter wakes at most once.
 type waiter struct {
 	ch    chan struct{}
 	woken atomic.Bool
@@ -81,69 +95,40 @@ func (x *tagIndex) shardFor(tag Tag) *indexShard {
 	return &x.shards[shardIdx(tag)]
 }
 
-// add records lsn under every tag and wakes the readers blocked on those
-// tags. Called by the ordering plane after the record is in the store.
-// Returns how many waiters this commit woke.
-func (x *tagIndex) add(tags []Tag, lsn LSN) int {
-	woken := 0
-	for _, tag := range tags {
-		s := x.shardFor(tag)
-		s.mu.Lock()
-		e := s.m[tag]
-		if e == nil {
-			e = &tagEntry{}
-			s.m[tag] = e
-		}
-		e.lsns = append(e.lsns, lsn)
-		ws := e.waiters
-		e.waiters = nil
-		s.mu.Unlock()
-		for _, w := range ws {
-			if w.wake() {
-				woken++
-			}
-		}
-	}
-	return woken
-}
-
 // tagInsert is one (tag, lsn) pair of a vectorized index pass.
 type tagInsert struct {
 	tag Tag
 	lsn LSN
 }
 
-// addRecords indexes a group of committed records in one vectorized
-// pass: the (tag, lsn) inserts are bucketed by shard first, so each
-// touched shard's write lock is taken once per group instead of once
-// per tag occurrence. recs must be in ascending LSN order and the call
-// must be serialized with every other index insertion (the ordering
-// plane calls it under l.mu) — that is what keeps each per-tag LSN list
-// sorted for the read plane's binary searches. Returns how many waiters
-// the group woke.
-func (x *tagIndex) addRecords(recs []*Record) int {
-	if len(recs) == 0 {
-		return 0
+// addRecords is the insert pass of a publication: it indexes a group of
+// committed records, bucketing the (tag, lsn) inserts by shard first so
+// each touched shard's write lock is taken once per group instead of
+// once per tag occurrence. recs must be in ascending LSN order and the
+// call must be serialized with every other index insertion (the
+// ordering plane calls it under l.mu, Recover before the log is
+// shared) — that keeps each per-tag LSN list sorted for the read
+// plane's binary searches and lets the buckets be reused across calls.
+//
+// Nothing inserted here is readable until the caller stores the
+// visible tail past the group, and no waiter is woken before that
+// store: see wakeWaiters.
+func (x *tagIndex) addRecords(recs []*Record) {
+	for i := range x.buckets {
+		x.buckets[i] = x.buckets[i][:0]
 	}
-	if len(recs) == 1 {
-		return x.add(recs[0].Tags, recs[0].LSN)
-	}
-	var buckets [indexShards][]tagInsert
 	for _, rec := range recs {
 		for _, tag := range rec.Tags {
 			i := shardIdx(tag)
-			buckets[i] = append(buckets[i], tagInsert{tag: tag, lsn: rec.LSN})
+			x.buckets[i] = append(x.buckets[i], tagInsert{tag: tag, lsn: rec.LSN})
 		}
 	}
-	woken := 0
-	var toWake []*waiter
-	for i := range buckets {
-		ins := buckets[i]
+	for i := range x.buckets {
+		ins := x.buckets[i]
 		if len(ins) == 0 {
 			continue
 		}
 		s := &x.shards[i]
-		toWake = toWake[:0]
 		s.mu.Lock()
 		for _, in := range ins {
 			e := s.m[in.tag]
@@ -152,42 +137,54 @@ func (x *tagIndex) addRecords(recs []*Record) int {
 				s.m[in.tag] = e
 			}
 			e.lsns = append(e.lsns, in.lsn)
-			if len(e.waiters) > 0 {
-				toWake = append(toWake, e.waiters...)
+		}
+		s.mu.Unlock()
+	}
+}
+
+// wakeWaiters is the wake pass of a publication: it detaches and wakes
+// the readers blocked on the tags the last addRecords touched, and
+// returns how many it woke. It must run after the visible tail was
+// stored past the group. Collecting the waiters during the insert pass
+// instead would lose wakeups: a reader that registers after its tag's
+// insert but before the tail store re-checks against the old tail,
+// finds nothing, parks — and the insert pass has already passed it by.
+// Run after the store, every waiter either is still registered here or
+// registered late enough that its re-check sees the new tail.
+func (x *tagIndex) wakeWaiters() int {
+	woken := 0
+	for i := range x.buckets {
+		ins := x.buckets[i]
+		if len(ins) == 0 {
+			continue
+		}
+		s := &x.shards[i]
+		s.mu.Lock()
+		for _, in := range ins {
+			if e := s.m[in.tag]; e != nil && len(e.waiters) > 0 {
+				x.toWake = append(x.toWake, e.waiters...)
 				e.waiters = nil
 			}
 		}
 		s.mu.Unlock()
-		for _, w := range toWake {
-			if w.wake() {
-				woken++
-			}
-		}
 	}
+	for i, w := range x.toWake {
+		if w.wake() {
+			woken++
+		}
+		x.toWake[i] = nil
+	}
+	x.toWake = x.toWake[:0]
 	return woken
 }
 
-// next returns the first LSN carrying tag at or after from.
-func (x *tagIndex) next(tag Tag, from LSN) (LSN, bool) {
-	s := x.shardFor(tag)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e := s.m[tag]
-	if e == nil {
-		return 0, false
-	}
-	i := sort.Search(len(e.lsns), func(i int) bool { return e.lsns[i] >= from })
-	if i == len(e.lsns) {
-		return 0, false
-	}
-	return e.lsns[i], true
-}
-
-// nextN appends to dst up to max LSNs carrying tag at or after from, in
+// nextN appends to dst up to max LSNs carrying tag in [from, below), in
 // ascending order, and returns the extended slice. One shard read lock
-// and one binary search serve the whole run — the batched counterpart
-// of next, used by cursor fetches.
-func (x *tagIndex) nextN(tag Tag, from LSN, dst []LSN, max int) []LSN {
+// and one binary search serve the whole run. below is the visible tail
+// the cursor fetch loaded before its first lookup: an LSN at or past it
+// belongs to a group still being inserted, whose lower LSNs may not be
+// under their tags yet.
+func (x *tagIndex) nextN(tag Tag, from, below LSN, dst []LSN, max int) []LSN {
 	s := x.shardFor(tag)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -196,7 +193,7 @@ func (x *tagIndex) nextN(tag Tag, from LSN, dst []LSN, max int) []LSN {
 		return dst
 	}
 	i := sort.Search(len(e.lsns), func(i int) bool { return e.lsns[i] >= from })
-	for ; i < len(e.lsns) && len(dst) < max; i++ {
+	for ; i < len(e.lsns) && len(dst) < max && e.lsns[i] < below; i++ {
 		dst = append(dst, e.lsns[i])
 	}
 	return dst

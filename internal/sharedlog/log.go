@@ -29,13 +29,17 @@
 //     range of global LSNs under one mutex — the total order is a
 //     serial decision by definition, but only the cut is serial, not
 //     the appends feeding it.
-//   - The committed-read plane (store.go, index.go, read.go) is
-//     lock-free for readers: committed records live in immutable
-//     segmented arrays behind an atomically published tail, and the
-//     per-tag index shards its locks. ReadNext / ReadNextAny / Read /
-//     CountTag never take the ordering mutex. Blocking readers register
-//     per-tag waiters, so a commit wakes only readers whose tags it
-//     carries — not every blocked reader in the process.
+//   - The committed-read plane (store.go, index.go, cursor.go,
+//     read.go) is lock-free for readers: committed records live in
+//     immutable segmented arrays behind an atomically published tail,
+//     and the per-tag index shards its locks. There is one forward
+//     reader, the Cursor, and one routine that makes records readable,
+//     publishLocked; between them sits the index's visible tail, so a
+//     cursor only ever merges wholly indexed publication groups.
+//     Cursors, ReadPrev, Read and CountTag never take the ordering
+//     mutex. Blocking cursors register per-tag waiters, so a commit
+//     wakes only readers whose tags it carries — not every blocked
+//     reader in the process.
 //
 // Records are immutable once committed: readers all share one record
 // instance and must not modify it. SetAux swaps in a fresh copy rather
@@ -150,10 +154,6 @@ type Config struct {
 	// are named "sequencer/<i>" and can be crashed or delayed mid-cut
 	// individually.
 	Faults *sim.FaultInjector
-	// CacheSize enables a client-side record cache of that many entries
-	// (Boki's function-node storage cache, paper §5.3); cache hits skip
-	// the read latency. Zero disables caching.
-	CacheSize int
 	// WAL, if non-nil, enables the durability plane: every committed cut,
 	// metadata mutation, trim horizon, and aux attachment is appended to
 	// the device as a checksummed frame and synced before the append is
@@ -205,8 +205,11 @@ type Log struct {
 	index *tagIndex
 
 	meta  *MetaStore
-	cache *readCache
 	stats logStats
+
+	// publishHook, if set (tests only), runs inside publishLocked after
+	// the group is in the index and before the visible tail moves.
+	publishHook func()
 
 	// Durability plane (nil unless Config.WAL is set).
 	dur *durability
@@ -235,7 +238,6 @@ func Open(cfg Config) *Log {
 		meta:  NewMetaStore(),
 		done:  make(chan struct{}),
 	}
-	l.cache = newReadCache(cfg.CacheSize)
 	l.shards = make([]*shard, cfg.NumShards)
 	for i := range l.shards {
 		l.shards[i] = &shard{name: fmt.Sprintf("shard/%d", i)}

@@ -53,17 +53,17 @@ func TestSelectiveReadByTag(t *testing.T) {
 	mustAppend(t, l, "b0", "b")
 	mustAppend(t, l, "a1", "a")
 
-	rec, err := l.ReadNext("a", 0)
+	rec, err := scanNext(l, 0, "a")
 	if err != nil || rec == nil || string(rec.Payload) != "a0" {
-		t.Fatalf("ReadNext(a,0) = %v, %v", rec, err)
+		t.Fatalf("scan(a,0) = %v, %v", rec, err)
 	}
-	rec, err = l.ReadNext("a", rec.LSN+1)
+	rec, err = scanNext(l, rec.LSN+1, "a")
 	if err != nil || rec == nil || string(rec.Payload) != "a1" {
-		t.Fatalf("ReadNext(a,1) = %v, %v", rec, err)
+		t.Fatalf("scan(a,1) = %v, %v", rec, err)
 	}
-	rec, err = l.ReadNext("a", rec.LSN+1)
+	rec, err = scanNext(l, rec.LSN+1, "a")
 	if err != nil || rec != nil {
-		t.Fatalf("ReadNext past tail = %v, %v, want nil,nil", rec, err)
+		t.Fatalf("scan past tail = %v, %v, want nil,nil", rec, err)
 	}
 }
 
@@ -73,9 +73,9 @@ func TestMultiTagAppendVisibleInAllSubstreams(t *testing.T) {
 	l := openTest(t)
 	lsn := mustAppend(t, l, "marker", "X/2a", "X/2b", "T/1a")
 	for _, tag := range []Tag{"X/2a", "X/2b", "T/1a"} {
-		rec, err := l.ReadNext(tag, 0)
+		rec, err := scanNext(l, 0, tag)
 		if err != nil || rec == nil {
-			t.Fatalf("ReadNext(%s) = %v, %v", tag, rec, err)
+			t.Fatalf("scan(%s) = %v, %v", tag, rec, err)
 		}
 		if rec.LSN != lsn {
 			t.Fatalf("tag %s sees LSN %d, want %d", tag, rec.LSN, lsn)
@@ -123,7 +123,7 @@ func TestReadNextBlockingWakesOnAppend(t *testing.T) {
 	defer cancel()
 	got := make(chan *Record, 1)
 	go func() {
-		rec, err := l.ReadNextBlocking(ctx, "w", 0)
+		rec, err := scanNextBlocking(ctx, l, 0, "w")
 		if err != nil {
 			t.Errorf("blocking read: %v", err)
 		}
@@ -146,7 +146,7 @@ func TestReadNextBlockingHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := l.ReadNextBlocking(ctx, "never", 0)
+		_, err := scanNextBlocking(ctx, l, 0, "never")
 		errc <- err
 	}()
 	cancel()
@@ -215,9 +215,12 @@ func TestTrimRemovesPrefix(t *testing.T) {
 	if _, err := l.Read(3); err != ErrTrimmed {
 		t.Fatalf("Read trimmed err = %v, want ErrTrimmed", err)
 	}
-	rec, err := l.ReadNext("a", 0)
+	if _, err := scanNext(l, 0, "a"); err != ErrCursorInvalidated {
+		t.Fatalf("scan below the horizon err = %v, want ErrCursorInvalidated", err)
+	}
+	rec, err := scanNext(l, l.TrimHorizon(), "a")
 	if err != nil || rec == nil || rec.LSN != 5 {
-		t.Fatalf("ReadNext after trim = %v, %v, want LSN 5", rec, err)
+		t.Fatalf("scan from the horizon = %v, %v, want LSN 5", rec, err)
 	}
 	// Idempotent + monotonic.
 	if err := l.Trim(2); err != nil {
@@ -248,8 +251,8 @@ func TestReadNextOnFullyTrimmedRangeReportsTrimmed(t *testing.T) {
 	if err := l.Trim(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.ReadNext("only", 0); err != ErrTrimmed {
-		t.Fatalf("err = %v, want ErrTrimmed", err)
+	if _, err := scanNext(l, 0, "only"); err != ErrCursorInvalidated {
+		t.Fatalf("err = %v, want ErrCursorInvalidated", err)
 	}
 }
 
@@ -308,8 +311,8 @@ func TestOperationsAfterClose(t *testing.T) {
 	if _, err := l.Append([]Tag{"t"}, nil); err != ErrClosed {
 		t.Fatalf("Append err = %v", err)
 	}
-	if _, err := l.ReadNext("t", 0); err != ErrClosed {
-		t.Fatalf("ReadNext err = %v", err)
+	if _, err := scanNext(l, 0, "t"); err != ErrClosed {
+		t.Fatalf("scan err = %v", err)
 	}
 	if err := l.Trim(1); err != ErrClosed {
 		t.Fatalf("Trim err = %v", err)
@@ -323,7 +326,7 @@ func TestStorageShardCrashMakesRecordsUnavailable(t *testing.T) {
 	lsn := mustAppend(t, l, "x", "a")
 	// Replication 1: the single replica lives on shard lsn%4.
 	f.Crash(fmt.Sprintf("shard/%d", int(lsn)%4))
-	if _, err := l.ReadNext("a", 0); err != ErrUnavailable {
+	if _, err := scanNext(l, 0, "a"); err != ErrUnavailable {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
 }
@@ -334,7 +337,7 @@ func TestReplicationSurvivesSingleShardCrash(t *testing.T) {
 	defer l.Close()
 	lsn := mustAppend(t, l, "x", "a")
 	f.Crash(fmt.Sprintf("shard/%d", int(lsn)%4))
-	rec, err := l.ReadNext("a", 0)
+	rec, err := scanNext(l, 0, "a")
 	if err != nil || rec == nil {
 		t.Fatalf("read with 2 live replicas failed: %v, %v", rec, err)
 	}
@@ -390,7 +393,7 @@ func TestConcurrentAppendsTotalOrder(t *testing.T) {
 		tag := Tag(fmt.Sprintf("w%d", w))
 		var from LSN
 		for i := 0; i < per; i++ {
-			rec, err := l.ReadNext(tag, from)
+			rec, err := scanNext(l, from, tag)
 			if err != nil || rec == nil {
 				t.Fatalf("worker %d read %d: %v %v", w, i, rec, err)
 			}
@@ -405,8 +408,8 @@ func TestConcurrentAppendsTotalOrder(t *testing.T) {
 	}
 }
 
-// Property: for any sequence of tagged appends, reading a tag's substream
-// via ReadNext yields exactly the records appended with that tag, in
+// Property: for any sequence of tagged appends, scanning a tag's substream
+// yields exactly the records appended with that tag, in
 // append order.
 func TestPropertySelectiveReadEquivalence(t *testing.T) {
 	check := func(tagChoices []uint8) bool {
@@ -424,13 +427,13 @@ func TestPropertySelectiveReadEquivalence(t *testing.T) {
 		for tag, payloads := range want {
 			var from LSN
 			for _, p := range payloads {
-				rec, err := l.ReadNext(tag, from)
+				rec, err := scanNext(l, from, tag)
 				if err != nil || rec == nil || string(rec.Payload) != p {
 					return false
 				}
 				from = rec.LSN + 1
 			}
-			if rec, _ := l.ReadNext(tag, from); rec != nil {
+			if rec, _ := scanNext(l, from, tag); rec != nil {
 				return false
 			}
 		}
@@ -456,7 +459,7 @@ func TestPropertyTrimPreservesSuffix(t *testing.T) {
 		if err := l.Trim(horizon); err != nil {
 			return false
 		}
-		rec, err := l.ReadNext("t", horizon)
+		rec, err := scanNext(l, horizon, "t")
 		if horizon == LSN(total) {
 			return err == nil && rec == nil
 		}

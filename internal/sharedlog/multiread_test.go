@@ -14,15 +14,15 @@ func TestReadNextAnyPicksEarliest(t *testing.T) {
 	b := mustAppend(t, l, "b-first", "b")
 	a := mustAppend(t, l, "a-later", "a")
 
-	rec, err := l.ReadNextAny([]Tag{"a", "b"}, 0)
+	rec, err := scanNext(l, 0, "a", "b")
 	if err != nil || rec == nil || rec.LSN != b {
-		t.Fatalf("ReadNextAny = %v, %v, want LSN %d", rec, err, b)
+		t.Fatalf("scan = %v, %v, want LSN %d", rec, err, b)
 	}
-	rec, err = l.ReadNextAny([]Tag{"a", "b"}, b+1)
+	rec, err = scanNext(l, b+1, "a", "b")
 	if err != nil || rec == nil || rec.LSN != a {
-		t.Fatalf("ReadNextAny(from) = %v, %v, want LSN %d", rec, err, a)
+		t.Fatalf("scan(from) = %v, %v, want LSN %d", rec, err, a)
 	}
-	rec, err = l.ReadNextAny([]Tag{"a", "b"}, a+1)
+	rec, err = scanNext(l, a+1, "a", "b")
 	if err != nil || rec != nil {
 		t.Fatalf("past tail = %v, %v", rec, err)
 	}
@@ -33,9 +33,9 @@ func TestReadNextAnySingleMultiTagRecord(t *testing.T) {
 	// position is the same record for both).
 	l := openTest(t)
 	lsn := mustAppend(t, l, "multi", "a", "b")
-	rec, err := l.ReadNextAny([]Tag{"a", "b"}, 0)
+	rec, err := scanNext(l, 0, "a", "b")
 	if err != nil || rec == nil || rec.LSN != lsn {
-		t.Fatalf("ReadNextAny = %v, %v", rec, err)
+		t.Fatalf("scan = %v, %v", rec, err)
 	}
 }
 
@@ -45,8 +45,8 @@ func TestReadNextAnyTrimmed(t *testing.T) {
 	if err := l.Trim(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.ReadNextAny([]Tag{"a"}, 0); err != ErrTrimmed {
-		t.Fatalf("err = %v, want ErrTrimmed", err)
+	if _, err := scanNext(l, 0, "a"); err != ErrCursorInvalidated {
+		t.Fatalf("err = %v, want ErrCursorInvalidated", err)
 	}
 }
 
@@ -56,7 +56,7 @@ func TestReadNextAnyBlockingWakes(t *testing.T) {
 	defer cancel()
 	got := make(chan *Record, 1)
 	go func() {
-		rec, err := l.ReadNextAnyBlocking(ctx, []Tag{"p", "q"}, 0)
+		rec, err := scanNextBlocking(ctx, l, 0, "p", "q")
 		if err != nil {
 			t.Errorf("blocking read: %v", err)
 		}
@@ -74,10 +74,11 @@ func TestReadNextAnyBlockingWakes(t *testing.T) {
 	}
 }
 
-// Property: ReadNextAny over a tag set returns exactly the union of the
-// per-tag substreams, in global LSN order.
+// Property: a cursor over a tag set returns exactly the union of the
+// per-tag substreams, in global LSN order — drained in batches of a
+// random size, so batch and readahead boundaries fall everywhere.
 func TestPropertyReadNextAnyIsOrderedUnion(t *testing.T) {
-	check := func(choices []uint8) bool {
+	check := func(choices []uint8, batch, prefetch uint8) bool {
 		l := Open(Config{})
 		defer l.Close()
 		watch := map[Tag]bool{"t0": true, "t1": true}
@@ -93,17 +94,18 @@ func TestPropertyReadNextAnyIsOrderedUnion(t *testing.T) {
 			}
 		}
 		var got []LSN
-		var cursor LSN
+		cur := l.OpenCursorOpts([]Tag{"t0", "t1"}, 0, CursorOptions{Prefetch: int(prefetch%8) - 1})
 		for {
-			rec, err := l.ReadNextAny([]Tag{"t0", "t1"}, cursor)
+			recs, err := cur.NextBatch(int(batch%7) + 1)
 			if err != nil {
 				return false
 			}
-			if rec == nil {
+			if len(recs) == 0 {
 				break
 			}
-			got = append(got, rec.LSN)
-			cursor = rec.LSN + 1
+			for _, rec := range recs {
+				got = append(got, rec.LSN)
+			}
 		}
 		if len(got) != len(want) {
 			return false

@@ -15,14 +15,15 @@ package sharedlog
 //     conditional-append guards against the metadata KV at that moment,
 //     writes the records to the committed store, and indexes the whole
 //     cut with one vectorized pass. LSN assignment is the global total
-//     order, so it is a serial decision by construction — the committed
+//     order, so it is a serial decision by construction — the visible
 //     tail advances in total order by cut, and the lock-free read plane
-//     (store.go, index.go, read.go) only ever observes fully published
-//     state.
+//     (store.go, index.go, cursor.go) only ever observes fully
+//     published state.
 //
-// Immediate mode (OrderingInterval == 0) bypasses the shard layer
-// entirely: each append is ordered and published under one acquisition
-// of l.mu, exactly as before the split.
+// Immediate mode (OrderingInterval == 0) bypasses the shard layer: each
+// append or batch is its own cut, ordered and published inline under
+// one acquisition of l.mu (commitImmediate) through the same
+// orderLocked → publishLocked → writeCut sequence the cut loop runs.
 
 import (
 	"sync"
@@ -141,29 +142,17 @@ func (l *Log) append(tags []Tag, payload []byte, condKey string, condWant uint64
 	}
 
 	if !l.ordering {
-		l.mu.Lock()
-		if l.closed.Load() {
-			l.mu.Unlock()
-			return 0, ErrClosed
+		// The degenerate group of one, through the same order → publish
+		// → persist sequence as AppendBatch and the cut loop. The arrays
+		// stay on the stack: the single-record path allocates only the
+		// record.
+		entry := [1]pendingEntry{{rec: rec, conditional: conditional, condKey: condKey, condWant: condWant}}
+		var result [1]appendResult
+		var group [1]*Record
+		if err := l.commitImmediate(entry[:], result[:], group[:0]); err != nil {
+			return 0, err
 		}
-		// The guard check and the ordering decision are atomic under
-		// l.mu: together with FenceIncrement, two markers can never
-		// both commit for the same (task, instance).
-		if conditional && !l.condHoldsLocked(condKey, condWant) {
-			l.mu.Unlock()
-			l.stats.condFailed.Add(1)
-			return 0, ErrCondFailed
-		}
-		lsn := l.commitLocked(rec)
-		if l.dur != nil {
-			// Durability: the cut-of-one is framed and synced before the
-			// append returns (ack-after-durable). Still under l.mu, the
-			// serial-persist path, so frames land in LSN order.
-			one := [1]*Record{rec}
-			l.dur.writeCut(one[:])
-		}
-		l.mu.Unlock()
-		return lsn, nil
+		return result[0].lsn, result[0].err
 	}
 	// Ordering mode: route to a local sequencer shard. The guard is
 	// validated at the sequencer cut — the moment the LSN is assigned —
@@ -271,26 +260,6 @@ func (l *Log) condHoldsLocked(key string, want uint64) bool {
 	return ok && got == want
 }
 
-// commitLocked assigns the next LSN, publishes the record to the
-// committed store, indexes it by tag, and wakes readers blocked on the
-// carried tags — only those. Caller holds l.mu.
-//
-// Publication order matters for the lock-free read plane: the record
-// slot is written and the committed tail advanced (store.put) before
-// the tag index learns the LSN, so any reader that finds the LSN
-// through the index is guaranteed to see the record behind it.
-func (l *Log) commitLocked(rec *Record) LSN {
-	lsn := l.store.nextLSN()
-	rec.LSN = lsn
-	l.store.put(rec)
-	woken := l.index.add(rec.Tags, lsn)
-	l.stats.appends.Add(1)
-	if woken > 0 {
-		l.stats.wakeups.Add(uint64(woken))
-	}
-	return lsn
-}
-
 // orderLocked runs the ordering decision for a group of entries:
 // validates each conditional guard, assigns contiguous LSNs, and
 // publishes the records to the committed store. Index insertion is left
@@ -315,17 +284,48 @@ func (l *Log) orderLocked(entries []pendingEntry, results []appendResult, recs [
 	return recs
 }
 
-// publishLocked indexes an ordered group of committed records with one
-// vectorized pass and wakes the readers their tags unblock. Records are
-// already in the store (orderLocked), so any reader that finds an LSN
-// through the index sees the record behind it. Caller holds l.mu —
-// index insertion must stay serialized in LSN order so per-tag LSN
-// lists remain sorted.
+// commitImmediate is immediate mode's whole commit: one acquisition of
+// l.mu covers the guard checks and LSN assignment (atomic together, so
+// with FenceIncrement two markers can never both commit for the same
+// task instance), the publication, and — still under l.mu, the serial
+// persist path, so frames land in LSN order — one WAL frame and sync
+// for the group before the append returns (ack-after-durable). recs is
+// the caller's scratch for the committed records.
+func (l *Log) commitImmediate(entries []pendingEntry, results []appendResult, recs []*Record) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed.Load() {
+		return ErrClosed
+	}
+	recs = l.orderLocked(entries, results, recs)
+	l.publishLocked(recs)
+	if l.dur != nil {
+		l.dur.writeCut(recs)
+	}
+	return nil
+}
+
+// publishLocked is the one routine that makes records readable. The
+// group — one record, one AppendBatch, or a whole sequencer cut — is
+// already in the store (orderLocked), so a reader that finds an LSN
+// through the index sees the record behind it. Three steps, in this
+// order: insert every (tag, LSN) of the group; store the visible tail
+// past the group's last LSN; then wake the readers blocked on the
+// touched tags. A cursor fetch clamps to the tail it loaded before its
+// lookups, so it sees either none of the group or all of it; the wake
+// pass follows the store so no reader parks on a tail that already
+// moved (tagIndex.wakeWaiters). Caller holds l.mu — index insertion
+// must stay serialized in LSN order so per-tag LSN lists stay sorted.
 func (l *Log) publishLocked(recs []*Record) {
 	if len(recs) == 0 {
 		return
 	}
-	woken := l.index.addRecords(recs)
+	l.index.addRecords(recs)
+	if l.publishHook != nil {
+		l.publishHook()
+	}
+	l.index.visible.Store(uint64(recs[len(recs)-1].LSN) + 1)
+	woken := l.index.wakeWaiters()
 	l.stats.appends.Add(uint64(len(recs)))
 	if woken > 0 {
 		l.stats.wakeups.Add(uint64(woken))

@@ -89,7 +89,7 @@ func shardedScenario(t *testing.T, orderingShards int) map[Tag][]string {
 		own := Tag(fmt.Sprintf("w/%d", w))
 		var seq []string
 		for from := LSN(0); ; {
-			rec, err := l.ReadNext(own, from)
+			rec, err := scanNext(l, from, own)
 			if err != nil || rec == nil {
 				break
 			}
@@ -128,7 +128,7 @@ func shardedScenario(t *testing.T, orderingShards int) map[Tag][]string {
 	}
 	var all []string
 	for from := LSN(0); ; {
-		rec, err := l.ReadNext("all", from)
+		rec, err := scanNext(l, from, "all")
 		if err != nil || rec == nil {
 			break
 		}
@@ -485,9 +485,9 @@ func TestShardedAppendRaceStress(t *testing.T) {
 				return
 			default:
 			}
-			rec, err := l.ReadNext("all", from)
+			rec, err := scanNext(l, from, "all")
 			if err != nil || rec == nil {
-				if errors.Is(err, ErrTrimmed) {
+				if errors.Is(err, ErrCursorInvalidated) {
 					from = l.TrimHorizon()
 					continue
 				}

@@ -8,10 +8,8 @@ type logStats struct {
 	appends    atomic.Uint64
 	condFailed atomic.Uint64
 
-	readNext    atomic.Uint64
-	readNextAny atomic.Uint64
-	readExact   atomic.Uint64
-	readPrev    atomic.Uint64
+	readExact atomic.Uint64
+	readPrev  atomic.Uint64
 
 	cuts     atomic.Uint64 // sequencer cuts that ordered >= 1 append
 	cutBatch atomic.Uint64 // appends ordered through cuts
@@ -52,17 +50,9 @@ type Stats struct {
 	Appends    uint64
 	CondFailed uint64
 
-	// Reads by kind. Blocking variants count once per call, not per
-	// internal retry.
-	ReadNext    uint64
-	ReadNextAny uint64
-	ReadExact   uint64
-	ReadPrev    uint64
-
-	// CacheHits / CacheMisses fold in the client read cache (both zero
-	// when the cache is disabled).
-	CacheHits   uint64
-	CacheMisses uint64
+	// Point reads by kind; forward reads are the Cursor* counters.
+	ReadExact uint64
+	ReadPrev  uint64
 
 	// SequencerCuts counts non-empty ordering cuts; MeanCutBatch is the
 	// mean number of appends ordered per cut (0 in immediate mode).
@@ -137,16 +127,11 @@ type Stats struct {
 // individually, so a snapshot taken during activity is approximate
 // across fields but each field is exact.
 func (l *Log) Stats() Stats {
-	hits, misses := l.cache.Stats()
 	s := Stats{
 		Appends:       l.stats.appends.Load(),
 		CondFailed:    l.stats.condFailed.Load(),
-		ReadNext:      l.stats.readNext.Load(),
-		ReadNextAny:   l.stats.readNextAny.Load(),
 		ReadExact:     l.stats.readExact.Load(),
 		ReadPrev:      l.stats.readPrev.Load(),
-		CacheHits:     hits,
-		CacheMisses:   misses,
 		SequencerCuts: l.stats.cuts.Load(),
 		ReaderWakeups: l.stats.wakeups.Load(),
 		UsefulWakeups: l.stats.usefulWakeups.Load(),
@@ -200,11 +185,4 @@ func (l *Log) Stats() Stats {
 		s.WALTruncatedBytes = l.stats.walTruncatedBytes.Load()
 	}
 	return s
-}
-
-// CacheStats reports client-cache hits and misses (0, 0 when the cache
-// is disabled). Kept alongside Stats for the cache ablation's narrower
-// view.
-func (l *Log) CacheStats() (hits, misses uint64) {
-	return l.cache.Stats()
 }

@@ -78,7 +78,7 @@ func TestStressConcurrentLogOperations(t *testing.T) {
 			seen := 0
 			for seen < perApp { // plenty before ctx timeout ends it
 				rctx, rcancel := context.WithTimeout(ctx, 50*time.Millisecond)
-				rec, err := l.ReadNextAnyBlocking(rctx, tags, cursor)
+				rec, err := scanNextBlocking(rctx, l, cursor, tags...)
 				rcancel()
 				if ctx.Err() != nil {
 					return
@@ -91,7 +91,7 @@ func TestStressConcurrentLogOperations(t *testing.T) {
 					default:
 						continue
 					}
-				case errors.Is(err, ErrTrimmed):
+				case errors.Is(err, ErrCursorInvalidated):
 					cursor = l.TrimHorizon()
 					continue
 				case errors.Is(err, ErrUnavailable):
@@ -248,14 +248,14 @@ func TestPropertyTagIndexMatchesFullScan(t *testing.T) {
 				naive[tag] = append(naive[tag], lsn)
 			}
 		}
-		// Index plane: ReadNext iteration per tag, plus CountTag.
+		// Index plane: a forward scan per tag, plus CountTag.
 		for d := 0; d < 6; d++ {
 			tag := Tag(fmt.Sprintf("t%d", d))
 			var got []LSN
 			from := LSN(0)
 			for {
-				rec, err := l.ReadNext(tag, from)
-				if errors.Is(err, ErrTrimmed) {
+				rec, err := scanNext(l, from, tag)
+				if errors.Is(err, ErrCursorInvalidated) {
 					from = l.TrimHorizon()
 					continue
 				}
@@ -296,15 +296,14 @@ func TestWakeupsOnlyForCarriedTags(t *testing.T) {
 
 	got := make(chan *Record, 1)
 	go func() {
-		rec, err := l.ReadNextBlocking(ctx, "quiet", 0)
+		rec, err := scanNextBlocking(ctx, l, 0, "quiet")
 		if err != nil {
 			t.Errorf("blocking read: %v", err)
 		}
 		got <- rec
 	}()
 	// Let the reader park.
-	waitUntil(t, func() bool { return l.Stats().ReadNext == 1 })
-	time.Sleep(10 * time.Millisecond)
+	waitUntil(t, func() bool { return waitersOn(l, "quiet") == 1 })
 
 	// Unrelated traffic: must wake nobody.
 	for i := 0; i < 50; i++ {
@@ -347,21 +346,18 @@ func waitUntil(t *testing.T, cond func() bool) {
 }
 
 // TestStatsCountersByKind sanity-checks the observability satellite:
-// appends, reads by kind, cache traffic, and sequencer cut accounting.
+// appends, reads by kind, and sequencer cut accounting.
 func TestStatsCountersByKind(t *testing.T) {
-	l := Open(Config{CacheSize: 8})
+	l := Open(Config{})
 	defer l.Close()
 	lsn := mustAppend(t, l, "a0", "a")
 	mustAppend(t, l, "a1", "a")
 
-	if _, err := l.ReadNext("a", 0); err != nil { // miss, fills cache
+	if _, err := scanNext(l, 0, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.ReadNext("a", 0); err != nil { // hit
-		t.Fatal(err)
-	}
-	if _, err := l.ReadNextAny([]Tag{"a", "b"}, 0); err != nil { // hit
-		t.Fatal(err)
+	if recs, err := l.OpenCursor([]Tag{"a", "b"}, 0).NextBatch(8); err != nil || len(recs) != 2 {
+		t.Fatalf("NextBatch = %d records, %v, want 2", len(recs), err)
 	}
 	if _, err := l.Read(lsn); err != nil {
 		t.Fatal(err)
@@ -377,14 +373,9 @@ func TestStatsCountersByKind(t *testing.T) {
 	if s.Appends != 2 || s.CondFailed != 1 {
 		t.Fatalf("Appends/CondFailed = %d/%d, want 2/1", s.Appends, s.CondFailed)
 	}
-	if s.ReadNext != 2 || s.ReadNextAny != 1 || s.ReadExact != 1 || s.ReadPrev != 1 {
-		t.Fatalf("reads by kind = next %d any %d exact %d prev %d",
-			s.ReadNext, s.ReadNextAny, s.ReadExact, s.ReadPrev)
-	}
-	// ReadPrev serves through the cache like the forward reads, so its
-	// read of the (uncached) substream tail counts as the second miss.
-	if s.CacheHits != 2 || s.CacheMisses != 2 {
-		t.Fatalf("cache = %d hits / %d misses, want 2/2", s.CacheHits, s.CacheMisses)
+	if s.CursorOpens != 2 || s.CursorBatchReads != 2 || s.CursorRecords != 3 || s.ReadExact != 1 || s.ReadPrev != 1 {
+		t.Fatalf("reads by kind = cursors %d fetches %d records %d exact %d prev %d",
+			s.CursorOpens, s.CursorBatchReads, s.CursorRecords, s.ReadExact, s.ReadPrev)
 	}
 	if s.Tail != 2 || s.TrimHorizon != 0 {
 		t.Fatalf("Tail/TrimHorizon = %d/%d", s.Tail, s.TrimHorizon)
