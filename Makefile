@@ -32,9 +32,11 @@ benchmark-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
 # race covers the shared log and the runtime core, where appenders,
-# blocking readers, trims, and fault injection interleave.
+# blocking readers, trims, and fault injection interleave, and the root
+# package, whose app.go owns the ingress flush timers, the sinks and
+# FlushIngress.
 race:
-	$(GO) test -race ./internal/sharedlog/... ./internal/core/...
+	$(GO) test -race . ./internal/sharedlog/... ./internal/core/...
 
 # chaos runs the short seeded chaos suite under the race detector:
 # NEXMark queries under deterministic fault schedules (task kills,

@@ -386,8 +386,9 @@ func (c *Cluster) Env() *core.Env { return c.env }
 func (c *Cluster) Log() *sharedlog.Log { return c.log }
 
 // LogStats snapshots the shared log's observability counters (appends,
-// reads by kind, cache traffic, sequencer cuts, reader wakeups); the
-// benchmark harness records them with every measured point.
+// point reads, cursor fetches and prefetch hits, sequencer cuts, reader
+// wakeups); the benchmark harness records them with every measured
+// point.
 func (c *Cluster) LogStats() sharedlog.Stats { return c.log.Stats() }
 
 // Checkpoints exposes the checkpoint store.

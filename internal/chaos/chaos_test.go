@@ -162,16 +162,26 @@ func TestChaosQ8(t *testing.T) {
 // the full fault plan (kills, zombies, node crashes, infra faults, sink
 // kills, consumer faults) must produce the same exactly-once outcome
 // when every operator runs as a tasklet on shared event loops. One cell
-// per protocol; the progress-marker cell also requires a fenced zombie,
+// per protocol, plus Q8 under progress markers: two inputs and several
+// tags behind one cursor, and a join whose Charge calls pause the step
+// mid-drain. The progress-marker cells also require a fenced zombie,
 // proving the fencing race exists under cooperative scheduling too.
-// In -short mode only the progress-marker cell runs.
+// In -short mode only the progress-marker cells run.
 func TestChaosTasklet(t *testing.T) {
-	queries := []int{1, 11, 12}
-	for i, proto := range protocols {
-		if testing.Short() && proto != impeller.ProgressMarker {
+	cells := []struct {
+		query int
+		proto impeller.Protocol
+	}{
+		{1, impeller.ProgressMarker},
+		{8, impeller.ProgressMarker},
+		{11, impeller.KafkaTxn},
+		{12, impeller.AlignedCheckpoint},
+	}
+	for _, c := range cells {
+		if testing.Short() && c.proto != impeller.ProgressMarker {
 			continue
 		}
-		proto, query := proto, queries[i]
+		proto, query := c.proto, c.query
 		t.Run(fmt.Sprintf("q%d-%s", query, proto), func(t *testing.T) {
 			t.Parallel()
 			res, err := Run(Config{Query: query, Protocol: proto, Seed: 7, Engine: impeller.EngineTasklet})

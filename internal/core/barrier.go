@@ -62,10 +62,9 @@ func (a *alignState) earliestBuffered() (LSN, bool) {
 }
 
 // onBarrier handles one barrier record and reports whether alignment is
-// now complete. The caller runs completeAlignment — inline on the
-// goroutine engine, on the blocker goroutine on the cooperative engine
-// (the completion snapshots synchronously and drains appends, which a
-// tasklet step must not await).
+// now complete. The caller then runs completeAlignment as a blocking
+// operation (Task.runBlocking): the completion snapshots synchronously
+// and drains appends.
 func (t *Task) onBarrier(b *Batch, lsn LSN) (complete bool, err error) {
 	a := t.align
 	if b.Epoch <= t.epoch {
@@ -96,8 +95,9 @@ func (t *Task) completeAlignment() error {
 	a := t.align
 
 	// Everything pre-barrier is processed; drain what classification
-	// allows (openTracker commits everything, so the queue empties).
-	if err := t.drainQueue(); err != nil {
+	// allows (openTracker commits everything, so the queue empties — the
+	// budget is lifted for the whole operation, see doBlocking).
+	if err := t.drain(); err != nil {
 		return err
 	}
 	t.flushOutputs()
@@ -151,7 +151,7 @@ func (t *Task) releaseAlignment() error {
 	for _, q := range side {
 		t.queue = append(t.queue, q)
 	}
-	return t.drainQueue()
+	return t.drain()
 }
 
 // alignedSnapshot serializes everything a task needs to resume from

@@ -140,18 +140,16 @@ func (s *Sink) SafePos() LSN { return LSN(s.safe.Load()) }
 // with backoff instead of killing the consumer — records are not lost,
 // only delayed.
 //
+// A sink always runs on a goroutine of its own, under either engine: its
+// OnRecord callback and a delivery sink's in-flight window may block,
+// which a cooperative loop must never do.
+//
 // On cancellation Run does not abandon the queue: a bounded
 // non-blocking sweep ingests whatever is already durable in the log, so
 // gated batches whose commit markers landed during shutdown are
 // delivered (or discarded) rather than dropped. Anything still lacking
 // a commit decision after the sweep is counted in Counts().Undrained.
 func (s *Sink) Run(ctx context.Context) error {
-	if s.env.loops != nil && s.delivery == nil {
-		// Cooperative engine: the sink runs as a tasklet on the shared
-		// loop pool. Delivery sinks keep the dedicated goroutine — their
-		// submit path blocks on the in-flight window by design.
-		return s.runTasklet(ctx)
-	}
 	tags := s.tags()
 	tagIndex := make(map[sharedlog.Tag]int, len(tags))
 	for i, t := range tags {
@@ -167,23 +165,18 @@ func (s *Sink) Run(ctx context.Context) error {
 	for {
 		recs, err := cur.NextBatchBlocking(ctx, readBatch)
 		if err != nil {
-			if ctx.Err() != nil {
+			fault, _ := retry.handleReadErr(ctx, err, cur, s.env.Log)
+			switch {
+			case fault == readSeeked:
+				s.noteInvalidation()
+			case ctx.Err() != nil:
+				// Whatever else the read failed with, shutdown wins.
 				s.shutdownSweep(cur, tags, tagIndex, readBatch)
 				return ctx.Err()
+			case fault == readFatal:
+				return err
 			}
-			if errors.Is(err, sharedlog.ErrCursorInvalidated) {
-				s.noteInvalidation()
-				cur.Seek(s.env.Log.TrimHorizon())
-				continue
-			}
-			if sharedlog.IsRetryable(err) {
-				if !retry.sleep(ctx, retry.backoff(0)) {
-					s.shutdownSweep(cur, tags, tagIndex, readBatch)
-					return ctx.Err()
-				}
-				continue
-			}
-			return err
+			continue
 		}
 		for _, rec := range recs {
 			if err := s.ingest(ctx, rec, tags, tagIndex); err != nil {
@@ -206,7 +199,7 @@ func (s *Sink) ingest(ctx context.Context, rec *sharedlog.Record, tags []sharedl
 	}
 	if b.Kind.isControl() {
 		if s.gated {
-			if err := s.observe(b, rec.LSN); err != nil {
+			if err := s.tracker.observeControl(b, rec.LSN); err != nil {
 				return err
 			}
 			s.drain(ctx, tags)
@@ -287,23 +280,10 @@ func (s *Sink) noteInvalidation() {
 	s.mu.Unlock()
 }
 
-func (s *Sink) observe(b *Batch, lsn LSN) error {
-	if mt, ok := s.tracker.(*multiTagMarkerTracker); ok {
-		return mt.observe(b, lsn)
-	}
-	return s.tracker.observeControl(b, lsn)
-}
-
 func (s *Sink) drain(ctx context.Context, tags []sharedlog.Tag) {
 	for len(s.queue) > 0 {
 		head := s.queue[0]
-		var c classification
-		if mt, ok := s.tracker.(*multiTagMarkerTracker); ok {
-			c = mt.classifyTagged(tags[head.port], head.batch, head.lsn)
-		} else {
-			c = s.tracker.classify(head.batch, head.lsn)
-		}
-		switch c {
+		switch s.tracker.classify(tags[head.port], head.batch, head.lsn) {
 		case classCommitted:
 			s.queue = s.queue[1:]
 			s.deliver(ctx, head.port, head.lsn, head.batch)

@@ -620,9 +620,9 @@ func (m *Manager) Stop() {
 	m.mu.Unlock()
 	m.wg.Wait()
 	if loops != nil {
-		// After every task goroutine has unwound; closing the pool also
-		// finishes any sink tasklets still resident so their Run calls
-		// return.
+		// After every task goroutine has unwound, so no tasklet is
+		// resident any more (sinks never are: they run on goroutines of
+		// their own and stop with their caller's context).
 		loops.close()
 	}
 }

@@ -26,7 +26,8 @@ type ProcContext interface {
 	// Process call (a join scanning its buffers, a window firing many
 	// panes at once). Cooperative processors call it so the tasklet
 	// engine can account the work against its step budget and yield at
-	// the next batch boundary; it is a no-op on the goroutine engine.
+	// the next batch boundary; the goroutine engine's budget never runs
+	// out.
 	Charge(n int)
 }
 

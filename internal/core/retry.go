@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -168,5 +169,49 @@ func (r *retrier) sleep(ctx context.Context, d time.Duration) bool {
 		return false
 	case <-r.clock.After(d):
 		return true
+	}
+}
+
+// readFault is what a forward reader can do about a failed cursor read.
+type readFault int
+
+const (
+	// readStopped: the read's context ended — the reader was cancelled
+	// or the caller's own read deadline passed.
+	readStopped readFault = iota
+	// readSeeked: a trim passed the cursor, which now sits at the trim
+	// horizon (returned alongside); the reader skipped what it had not
+	// consumed.
+	readSeeked
+	// readRetry: a transient fault (a storage shard down, the reader cut
+	// off from the log), already backed off; the cursor stays valid, so
+	// poll again.
+	readRetry
+	// readFatal: anything else; the reader must stop with the error.
+	readFatal
+)
+
+// handleReadErr sorts the error of a failed cursor read for the runtime's
+// forward readers (Task.Run, Task.feed, Sink.Run) and does the handling
+// they share: it repositions an invalidated cursor at the trim horizon
+// and sleeps one backoff step after a transient fault.
+func (r *retrier) handleReadErr(ctx context.Context, err error, cur *sharedlog.Cursor, log *sharedlog.Log) (readFault, LSN) {
+	switch {
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return readStopped, 0
+	case errors.Is(err, sharedlog.ErrCursorInvalidated):
+		horizon := log.TrimHorizon()
+		cur.Seek(horizon)
+		return readSeeked, horizon
+	case sharedlog.IsRetryable(err):
+		if r.metrics != nil {
+			r.metrics.Retries.Add(1)
+		}
+		if !r.sleep(ctx, r.backoff(0)) {
+			return readStopped, 0
+		}
+		return readRetry, 0
+	default:
+		return readFatal, 0
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,8 +122,23 @@ type Task struct {
 	progress atomic.Uint64
 	Metrics  *TaskMetrics
 
-	// --- cooperative engine (Env.Engine == EngineTasklet) ---
-	tl       *taskletRun // per-run scheduling state; nil on the goroutine engine
+	// --- step state: the resumable position of the task loop (step);
+	// only the task's current owner touches it ---
+	// recs/ri is the fetched input being ingested and the next record of
+	// it (always a record boundary); recs is nil once consumed.
+	recs []*sharedlog.Record
+	ri   int
+	// pendingDrain: the queue may hold batches a drain could move — data
+	// was queued since the last drain, or the budget paused one. A paused
+	// drain resumes before any new input is ingested.
+	pendingDrain bool
+	// budget is the work remaining in the current step; processors
+	// charge bulk work against it via ProcContext.Charge.
+	budget    int
+	nextFlush time.Time
+
+	// --- loop driver (Env.Engine == EngineTasklet) ---
+	tl       *taskletRun // per-run scheduling state; nil on the goroutine driver
 	tlLoop   *taskLoop   // the loop this task is placed on; nil otherwise
 	doneRing *spsc[doneEvent]
 
@@ -331,20 +347,18 @@ func (t *Task) newOutDest(tags []sharedlog.Tag) appendDest {
 		if err != nil {
 			return
 		}
-		// On the cooperative engine the completion posts to the owning
-		// loop's ring and is folded there; the direct fold below is the
-		// goroutine-engine path and the ring-overflow fallback.
-		if r := t.doneRing; r != nil && r.tryPush(doneEvent{tags: tags, lsn: lsn}) {
-			return
-		}
-		t.progressMu.Lock()
-		for _, tag := range tags {
-			if cur, ok := t.outFirst[tag]; !ok || lsn < cur {
-				t.outFirst[tag] = lsn
-			}
-		}
-		t.progressMu.Unlock()
+		t.completed(doneEvent{tags: tags, lsn: lsn})
 	}}
+}
+
+// completed accounts one append completion: through the owning loop's
+// done ring on the loop driver, by a direct fold otherwise (and when the
+// ring is full).
+func (t *Task) completed(ev doneEvent) {
+	if r := t.doneRing; r != nil && r.tryPush(ev) {
+		return
+	}
+	t.foldProgress(ev)
 }
 
 func (t *Task) newChangeDest(tag sharedlog.Tag) appendDest {
@@ -352,27 +366,19 @@ func (t *Task) newChangeDest(tag sharedlog.Tag) appendDest {
 		if err != nil {
 			return
 		}
-		if r := t.doneRing; r != nil && r.tryPush(doneEvent{change: true, lsn: lsn}) {
-			return
-		}
-		t.progressMu.Lock()
-		if t.changeFirst == NoLSN || lsn < t.changeFirst {
-			t.changeFirst = lsn
-		}
-		t.progressMu.Unlock()
+		t.completed(doneEvent{change: true, lsn: lsn})
 	}}
 }
 
 // multiTagMarkerTracker dispatches classification to a per-input-tag
-// markerTracker. A data batch belongs to exactly one of the task's
-// input tags; a marker may address several of them.
+// markerTracker. A data batch belongs to exactly one of the consumer's
+// input tags — the one it arrived on; a marker may address several.
 type multiTagMarkerTracker struct {
 	byTag map[sharedlog.Tag]*markerTracker
-	tags  []sharedlog.Tag
 }
 
 func newMultiTagMarkerTracker(tags []sharedlog.Tag) *multiTagMarkerTracker {
-	m := &multiTagMarkerTracker{byTag: make(map[sharedlog.Tag]*markerTracker, len(tags)), tags: tags}
+	m := &multiTagMarkerTracker{byTag: make(map[sharedlog.Tag]*markerTracker, len(tags))}
 	for _, tag := range tags {
 		m.byTag[tag] = newMarkerTracker(tag)
 	}
@@ -388,22 +394,12 @@ func (m *multiTagMarkerTracker) observeControl(b *Batch, lsn LSN) error {
 	return nil
 }
 
-// classifyTagged classifies a batch that arrived via tag.
-func (m *multiTagMarkerTracker) classifyTagged(tag sharedlog.Tag, b *Batch, lsn LSN) classification {
+func (m *multiTagMarkerTracker) classify(tag sharedlog.Tag, b *Batch, lsn LSN) classification {
 	t := m.byTag[tag]
 	if t == nil {
 		return classUnknown
 	}
 	return t.classify(b, lsn)
-}
-
-func (m *multiTagMarkerTracker) observe(b *Batch, lsn LSN) error { return m.observeControl(b, lsn) }
-
-// observeControl/classify satisfy commitTracker; classify uses the
-// first tag (single-input fast path). The task runtime calls
-// classifyTagged directly when it knows the arrival tag.
-func (m *multiTagMarkerTracker) classify(b *Batch, lsn LSN) classification {
-	return m.classifyTagged(m.tags[0], b, lsn)
 }
 
 // batchBuf accumulates records destined for one output substream.
@@ -450,12 +446,8 @@ func (t *Task) Substream() int { return t.slot }
 // Charge implements ProcContext: processors doing bulk internal work in
 // one Process call (a join scanning its buffers, a window firing many
 // panes) report it so the cooperative engine accounts it against the
-// step budget. No-op on the goroutine engine.
-func (t *Task) Charge(n int) {
-	if t.tl != nil {
-		t.tl.budget -= n
-	}
-}
+// step budget (which the goroutine driver never exhausts).
+func (t *Task) Charge(n int) { t.budget -= n }
 
 // onStateChange captures a state mutation into the change-log buffer.
 // Only stateful stages under change-log protocols persist changes;
@@ -481,91 +473,70 @@ func (t *Task) onStateChange(key string, value []byte, deleted bool) {
 // Run recovers the task's position and state, then processes input
 // until ctx is cancelled or the instance is fenced. It always returns a
 // non-nil error: ctx.Err() on clean shutdown, ErrZombie when fenced.
+//
+// Run is the goroutine driver of step: it reads the input cursor itself,
+// blocking at most until the next flush or commit deadline, and calls
+// the step with no budget and blocking operations inline. The loop
+// driver (runOnLoop, tasklet.go) is the other one.
 func (t *Task) Run(ctx context.Context) error {
-	if t.tlLoop != nil {
-		return t.runTasklet(ctx)
-	}
-	t.runCtx = ctx
 	defer t.closeAppenders()
-	recoverStart := time.Now()
-	if err := t.recover(ctx); err != nil {
-		return fmt.Errorf("task %s: recover: %w", t.ID, err)
+	if err := t.open(ctx); err != nil {
+		return err
 	}
-	t.Metrics.RecoveryNanos.Store(time.Since(recoverStart).Nanoseconds())
-	if err := t.proc.Open(t); err != nil {
-		return fmt.Errorf("task %s: open: %w", t.ID, err)
+	if t.tlLoop != nil {
+		return t.runOnLoop(ctx)
 	}
-
-	// The input hot path is a streaming cursor over every input tag:
-	// one log round trip serves up to readBatch records (plus bounded
-	// readahead).
-	t.inCursor = t.log.OpenCursorOpts(t.inputTags, t.cursor, t.inputCursorOpts())
-
-	clock := t.env.Clock
-	nextFlush := clock.Now().Add(DefaultFlushInterval)
-	t.sched.next = t.env.commitTick(clock.Now())
-
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if t.env.Faults.Crashed(t.node) {
-			// This instance's compute node crashed: everything in
-			// flight is lost. Die; the manager restarts us with backoff
-			// (replacements keep failing until the node recovers).
-			return fmt.Errorf("task %s: %w", t.ID, sim.ErrCrashed)
-		}
-		t.heartbeat()
-
-		now := clock.Now()
-		deadline := nextFlush
+		deadline := t.nextFlush
 		if t.sched.next.Before(deadline) {
 			deadline = t.sched.next
 		}
-		if wait := deadline.Sub(now); wait > 0 {
+		if wait := deadline.Sub(t.env.Clock.Now()); wait > 0 {
 			rctx, cancel := context.WithTimeout(ctx, wait)
+			// The batch is a view into the cursor's buffer, valid until
+			// the next fetch: an unbudgeted step consumes all of it.
 			recs, err := t.inCursor.NextBatchBlocking(rctx, t.readBatch)
 			cancel()
-			switch {
-			case err == nil && len(recs) > 0:
-				if err := t.ingestBatch(recs); err != nil {
-					return fmt.Errorf("task %s: %w", t.ID, err)
+			if err == nil {
+				t.recs = recs
+			} else {
+				switch fault, horizon := t.retry.handleReadErr(ctx, err, t.inCursor, t.log); fault {
+				case readSeeked:
+					t.cursor = horizon
+				case readFatal:
+					return fmt.Errorf("task %s: read: %w", t.ID, err)
 				}
-			case errors.Is(err, context.DeadlineExceeded):
-				// fall through to flush/commit
-			case errors.Is(err, context.Canceled):
-				return ctx.Err()
-			case errors.Is(err, sharedlog.ErrCursorInvalidated):
-				// Our resume point was garbage-collected along with
-				// everything we had consumed; skip to the horizon.
-				t.cursor = t.log.TrimHorizon()
-				t.inCursor.Seek(t.cursor)
-			case sharedlog.IsRetryable(err):
-				// Transient: a storage shard is down or we are cut off
-				// from the log. Back off briefly and re-poll; the
-				// deadline checks below still run, so commits are not
-				// starved while the fault lasts. The cursor stays valid
-				// across transient errors.
-				t.Metrics.Retries.Add(1)
-				if !t.retry.sleep(ctx, t.retry.backoff(0)) {
-					return ctx.Err()
-				}
-			case err != nil:
-				return fmt.Errorf("task %s: read: %w", t.ID, err)
+				// Otherwise cancelled, backed off, or just past the
+				// flush/commit deadline: the step does whatever is due.
 			}
 		}
-
-		now = clock.Now()
-		if !now.Before(nextFlush) {
-			t.flushOutputs()
-			nextFlush = now.Add(DefaultFlushInterval)
-		}
-		if t.commitDue(now, t.inCursor.Buffered() == 0) {
-			if err := t.commit(ctx); err != nil {
-				return fmt.Errorf("task %s: commit: %w", t.ID, err)
-			}
+		if _, err := t.step(unbudgeted, t.inCursor.Buffered() > 0); err != nil {
+			return err
 		}
 	}
+}
+
+// open is the blocking prologue of a run, on the spawn goroutine under
+// either driver: recover position and state, open the processor, open
+// the input cursor — one streaming reader over every input tag, one log
+// round trip per readBatch records (plus bounded readahead) — and set
+// the first flush and commit deadlines.
+func (t *Task) open(ctx context.Context) error {
+	t.runCtx = ctx
+	clock := t.env.Clock
+	start := clock.Now()
+	if err := t.recover(ctx); err != nil {
+		return fmt.Errorf("task %s: recover: %w", t.ID, err)
+	}
+	t.Metrics.RecoveryNanos.Store(clock.Now().Sub(start).Nanoseconds())
+	if err := t.proc.Open(t); err != nil {
+		return fmt.Errorf("task %s: open: %w", t.ID, err)
+	}
+	t.inCursor = t.log.OpenCursorOpts(t.inputTags, t.cursor, t.inputCursorOpts())
+	now := clock.Now()
+	t.nextFlush = now.Add(DefaultFlushInterval)
+	t.sched.next = t.env.commitTick(now)
+	return nil
 }
 
 // inputCursorOpts builds the input cursor's options from the task's
@@ -581,41 +552,110 @@ func (t *Task) inputCursorOpts() sharedlog.CursorOptions {
 	return opts
 }
 
-// ingestBatch handles one cursor read batch, in LSN order: control
+// unbudgeted is the step budget that never runs out: the goroutine
+// driver's, and every blocking operation's (runBlocking).
+const unbudgeted = math.MaxInt
+
+// step is the task loop of paper §3.2 — read, process, write, record
+// progress — cut into resumable slices, and the only implementation of
+// it. One call finishes a drain the budget paused, ingests the fetched
+// input (t.recs) from where the last call stopped, flushes outputs when
+// the flush interval has passed and commits when commitDue says so. It
+// spends at most budget work units (records processed plus whatever
+// processors Charge), overshooting by at most one producer batch: it
+// pauses only between producer batches, so no commit opportunity falls
+// inside one and a marker never covers half of a batch.
+//
+// A driver differs from the other in three things only: where t.recs
+// comes from (more reports fetched input the driver has not handed over
+// yet), the budget, and how a blocking operation runs (runBlocking).
+// worked reports that the step moved something — the loop driver's
+// park-or-spin signal.
+func (t *Task) step(budget int, more bool) (worked bool, err error) {
+	if err := t.runCtx.Err(); err != nil {
+		return true, err
+	}
+	if t.env.Faults.Crashed(t.node) {
+		// This instance's compute node crashed: everything in flight is
+		// lost. Die; the manager restarts us with backoff (replacements
+		// keep failing until the node recovers).
+		return true, fmt.Errorf("task %s: %w", t.ID, sim.ErrCrashed)
+	}
+	t.heartbeat()
+	t.drainCompletions()
+
+	t.budget = budget
+	worked = t.pendingDrain || t.recs != nil
+	if t.pendingDrain {
+		err = t.drain()
+	}
+	if err == nil && !t.pendingDrain && t.recs != nil {
+		err = t.ingest()
+	}
+	if err != nil {
+		return true, fmt.Errorf("task %s: %w", t.ID, err)
+	}
+	if t.blocked() {
+		return true, nil // alignment completion is running on the blocker
+	}
+
+	now := t.env.Clock.Now()
+	if !now.Before(t.nextFlush) {
+		t.flushOutputs()
+		t.nextFlush = now.Add(DefaultFlushInterval)
+		worked = true
+	}
+	if t.commitDue(now, t.recs == nil && !t.pendingDrain && !more) {
+		if err := t.runBlocking(opCommit); err != nil {
+			return true, fmt.Errorf("task %s: %w", t.ID, err)
+		}
+		return true, nil
+	}
+	return worked, nil
+}
+
+// ingest consumes the fetched input from t.ri, in LSN order: control
 // records update the tracker (or barrier alignment), data records enter
-// the queue, and the queue drains as far as classification allows
-// (paper §3.3.3).
+// the queue, and the queue drains as far as classification and the
+// budget allow (paper §3.3.3). When the budget runs out it returns
+// without consuming the record in hand; the next step resumes there.
 //
 // Batching does not move the marker boundary: classification state only
 // changes when a control record is observed, so draining once per run
-// of data records is equivalent to the old drain-after-every-record —
-// and each control record still drains the pending run first, then is
+// of data records is equivalent to draining after every record — and
+// each control record still drains the pending run first, then is
 // processed at its exact LSN position. The impellerdebug marker-order
 // asserts hold unchanged.
-func (t *Task) ingestBatch(recs []*sharedlog.Record) error {
-	pendingDrain := false
-	for _, rec := range recs {
-		t.cursor = rec.LSN + 1
+func (t *Task) ingest() error {
+	for t.ri < len(t.recs) {
+		if t.budget <= 0 {
+			return nil
+		}
+		rec := t.recs[t.ri]
 		b, err := DecodeBatch(rec.Payload)
 		if err != nil {
 			return err
 		}
-		port, group, tag := t.routeFor(rec)
-
 		if b.Kind.isControl() {
-			if pendingDrain {
-				if err := t.drainQueue(); err != nil {
+			if t.pendingDrain {
+				if err := t.drain(); err != nil {
 					return err
 				}
-				pendingDrain = false
+				if t.pendingDrain {
+					return nil // budget out; rec is looked at again next step
+				}
 			}
+			t.cursor = rec.LSN + 1
+			t.ri++
 			if b.Kind == KindBarrier && t.align != nil {
 				complete, err := t.onBarrier(b, rec.LSN)
 				if err != nil {
 					return err
 				}
 				if complete {
-					if err := t.completeAlignment(); err != nil {
+					// The final barrier arrived: completing the alignment
+					// snapshots synchronously and drains appends.
+					if err := t.runBlocking(opAlign); err != nil || t.blocked() {
 						return err
 					}
 				}
@@ -624,37 +664,92 @@ func (t *Task) ingestBatch(recs []*sharedlog.Record) error {
 			if err := t.observeControl(b, rec.LSN); err != nil {
 				return err
 			}
-			if err := t.drainQueue(); err != nil {
+			if err := t.drain(); err != nil {
 				return err
+			}
+			if t.pendingDrain {
+				return nil
 			}
 			continue
 		}
 
+		t.cursor = rec.LSN + 1
+		t.ri++
 		switch b.Kind {
 		case KindSource, KindData:
+			port, group, tag := t.routeFor(rec)
 			if fl, ok := t.groupFloor[group]; ok && rec.LSN < fl {
 				// Below the group's handoff floor: the donor slot
 				// committed this record before the group migrated here.
 				t.Metrics.DroppedBelowFloor.Add(uint64(len(b.Records)))
 				continue
 			}
+			q := queuedBatch{lsn: rec.LSN, port: port, group: group, tag: tag, batch: b}
 			if t.align != nil && t.align.blocked(b.Producer) {
 				// Aligned checkpoint in progress: post-barrier records
 				// from producers whose barrier already arrived wait out
 				// the alignment (Flink's channel blocking).
-				t.align.buffer(queuedBatch{lsn: rec.LSN, port: port, group: group, tag: tag, batch: b})
+				t.align.buffer(q)
 				continue
 			}
-			t.queue = append(t.queue, queuedBatch{lsn: rec.LSN, port: port, group: group, tag: tag, batch: b})
+			t.queue = append(t.queue, q)
 			t.Metrics.Buffered.Add(uint64(len(b.Records)))
-			pendingDrain = true
+			t.pendingDrain = true
 		default:
 			// Change-log, offset, and txn-log records carry our own tags
 			// only; another task's never reach us. Ignore defensively.
 		}
 	}
-	if pendingDrain {
-		return t.drainQueue()
+	t.recs, t.ri = nil, 0
+	if t.pendingDrain {
+		return t.drain()
+	}
+	return nil
+}
+
+// blockingOp names the two operations of a task that wait on the log.
+type blockingOp uint8
+
+const (
+	// opCommit is t.commit: flush, drain appends, append the commit record.
+	opCommit blockingOp = iota
+	// opAlign is completeAlignment: drain, snapshot synchronously,
+	// forward the barrier.
+	opAlign
+)
+
+// runBlocking runs op where the driver allows waiting: inline on the
+// goroutine driver; on the loop driver it hands op to the blocker, and
+// the caller must yield at once (blocked reports true until the result
+// is collected). Steps pause only between producer batches, so op always
+// starts at a producer-batch boundary.
+func (t *Task) runBlocking(op blockingOp) error {
+	if t.tl != nil {
+		t.tl.blocked = true
+		t.tl.blockReq <- op
+		return nil
+	}
+	return t.doBlocking(op)
+}
+
+// blocked reports a blocking operation in flight on the blocker, which
+// owns all task state until its result is collected.
+func (t *Task) blocked() bool { return t.tl != nil && t.tl.blocked }
+
+// doBlocking executes op with the step budget lifted and restores it
+// after: whoever runs op owns the task exclusively and may wait, and the
+// drains inside it must run to exhaustion — completeAlignment snapshots
+// right after its drain, so a drain the budget paused there would leave
+// pre-barrier records out of the snapshot.
+func (t *Task) doBlocking(op blockingOp) error {
+	budget := t.budget
+	t.budget = unbudgeted
+	defer func() { t.budget = budget }()
+	if op == opAlign {
+		return t.completeAlignment()
+	}
+	if err := t.commit(t.runCtx); err != nil {
+		return fmt.Errorf("commit: %w", err)
 	}
 	return nil
 }
@@ -663,22 +758,11 @@ func (t *Task) observeControl(b *Batch, lsn LSN) error {
 	if b.Kind == KindMarker {
 		t.noteMarker(b.Producer)
 	}
-	if mt, ok := t.tracker.(*multiTagMarkerTracker); ok {
-		return mt.observe(b, lsn)
-	}
 	return t.tracker.observeControl(b, lsn)
 }
 
-func (t *Task) classify(q queuedBatch) classification {
-	if mt, ok := t.tracker.(*multiTagMarkerTracker); ok {
-		return mt.classifyTagged(q.tag, q.batch, q.lsn)
-	}
-	return t.tracker.classify(q.batch, q.lsn)
-}
-
-// routeFor maps a log record to the input port, key group, and tag it
-// arrived on. Group and tag are meaningful for data records only —
-// control records may carry several of our tags.
+// routeFor maps a data record to the input port, key group, and tag it
+// arrived on.
 func (t *Task) routeFor(rec *sharedlog.Record) (port, group int, tag sharedlog.Tag) {
 	for _, tg := range rec.Tags {
 		if p, ok := t.tagPort[tg]; ok {
@@ -691,11 +775,17 @@ func (t *Task) routeFor(rec *sharedlog.Record) (port, group int, tag sharedlog.T
 	return 0, 0, ""
 }
 
-// drainQueue repeatedly examines the head of the queue: committed
-// batches are processed, uncommitted ones discarded, and the first
-// unknown batch stops the drain (paper §3.3.3, Figure 5).
-func (t *Task) drainQueue() error {
+// drain repeatedly examines the head of the queue: committed batches are
+// processed, uncommitted ones discarded, and the first unknown batch
+// stops the drain (paper §3.3.3, Figure 5). It also stops, between
+// producer batches, when the step budget runs out; t.pendingDrain then
+// stays set and the next step resumes here before ingesting anything.
+func (t *Task) drain() error {
 	for len(t.queue) > 0 {
+		if t.budget <= 0 {
+			t.pendingDrain = true
+			return nil
+		}
 		head := t.queue[0]
 		switch t.classify(head) {
 		case classCommitted:
@@ -708,10 +798,16 @@ func (t *Task) drainQueue() error {
 			t.Metrics.DroppedUncommitted.Add(uint64(len(head.batch.Records)))
 			t.activity = true
 		case classUnknown:
+			t.pendingDrain = false
 			return nil
 		}
 	}
+	t.pendingDrain = false
 	return nil
+}
+
+func (t *Task) classify(q queuedBatch) classification {
+	return t.tracker.classify(q.tag, q.batch, q.lsn)
 }
 
 // inputEnd is the highest LSN such that every input record at or below

@@ -10,35 +10,33 @@ import (
 	"time"
 
 	"impeller/internal/sharedlog"
-	"impeller/internal/sim"
 )
 
 // The cooperative tasklet engine (opt-in via Env.Engine): instead of one
 // goroutine per task, a fixed pool of worker loops — one per core by
 // default — runs every task as a non-blocking tasklet. A tasklet's step
-// does a bounded slice of work (ingest, classify, process, flush) and
-// yields; the loop round-robins its resident tasklets and parks only
-// when none made progress. The blocking edges stay on dedicated
-// goroutines and hand batches into the loop through bounded SPSC rings:
+// is Task.step with a budget: a bounded slice of the same ingest,
+// classify, drain, flush, commit sequence the goroutine driver runs
+// unbounded. The loop round-robins its resident tasklets and parks only
+// when none made progress. What may block stays on dedicated goroutines:
 //
 //   - a feeder goroutine owns the input cursor and blocks in
 //     NextBatchBlocking, pushing record batches into the tasklet's input
 //     ring (a full ring blocks the feeder — natural backpressure);
-//   - a blocker goroutine runs the operations that must wait on the log
-//     (commit's drain-and-mark, aligned-checkpoint completion); while one
-//     is in flight the tasklet reports "blocked" and its step only polls
-//     for the result, so the loop never stalls;
+//   - a blocker goroutine runs the task's blocking operations (commit's
+//     drain-and-mark, aligned-checkpoint completion); while one is in
+//     flight the tasklet reports "blocked" and its step only polls for
+//     the result, so the loop never stalls;
 //   - the append batcher's completion callbacks post {tags, lsn} events
 //     to a per-task done ring drained on the loop, instead of waking a
-//     goroutine per completion.
+//     goroutine per completion;
+//   - sinks are not tasklets: a sink's user callback (and a delivery
+//     sink's in-flight window) may block for as long as the consumer
+//     likes, so every sink runs on a goroutine of its own.
 //
 // Ownership of all task state transfers between the loop, the feeder,
 // and the blocker exclusively through channels and the rings' atomics,
-// so the engine is race-detector clean. The correctness invariants are
-// untouched: a step never yields inside a producer batch (so a commit
-// can never cover half of one), drain-before-marker still runs on the
-// blocker with exclusive ownership, and batch-exact classification is
-// the same code path as the goroutine engine.
+// so the engine is race-detector clean.
 
 // EngineMode selects the task execution engine.
 type EngineMode int
@@ -386,62 +384,33 @@ type doneEvent struct {
 	change bool
 }
 
-// taskletRun is the per-instance scheduling state of a task running on
-// the cooperative engine. Only the current owner (loop, or blocker while
-// blocked) touches it.
+// taskletRun is what the loop driver adds to a task: the feeder's ring
+// and the blocker's channels. Only the current owner (loop, or blocker
+// while blocked) touches it.
 type taskletRun struct {
-	ctx      context.Context
 	in       *spsc[taskletEvent]
-	blockReq chan func() error
+	blockReq chan blockingOp
 	blockRes chan error
 	// blocked marks a blocker operation in flight: steps only poll
 	// blockRes until it completes, so the blocker has exclusive
 	// ownership of all task state meanwhile.
-	blocked bool
-	// recs/ri is the partially ingested input event (resumable position;
-	// always at a record boundary).
-	recs []*sharedlog.Record
-	ri   int
-	// pendingDrain marks a queue drain paused by the step budget; it
-	// resumes before any new input is ingested.
-	pendingDrain bool
-	// budget is the work remaining in the current step; processors
-	// charge bulk work against it via ProcContext.Charge.
-	budget      int
-	nextFlush   time.Time
+	blocked     bool
 	feederDone  chan struct{}
 	blockerDone chan struct{}
 }
 
-// runTasklet is Task.Run on the cooperative engine: the blocking
-// prologue (recovery, processor open, cursor open) runs on the spawn
-// goroutine, then the task registers as a tasklet and the spawn
-// goroutine just waits for the terminal result.
-func (t *Task) runTasklet(ctx context.Context) error {
-	t.runCtx = ctx
-	defer t.closeAppenders()
-	recoverStart := time.Now()
-	if err := t.recover(ctx); err != nil {
-		return fmt.Errorf("task %s: recover: %w", t.ID, err)
-	}
-	t.Metrics.RecoveryNanos.Store(time.Since(recoverStart).Nanoseconds())
-	if err := t.proc.Open(t); err != nil {
-		return fmt.Errorf("task %s: open: %w", t.ID, err)
-	}
-	t.inCursor = t.log.OpenCursorOpts(t.inputTags, t.cursor, t.inputCursorOpts())
-
-	now := t.env.Clock.Now()
+// runOnLoop is the loop driver of Task.step: the task, already opened on
+// the spawn goroutine, registers as a tasklet and the spawn goroutine
+// just waits for the terminal result.
+func (t *Task) runOnLoop(ctx context.Context) error {
 	tl := &taskletRun{
-		ctx:         ctx,
 		in:          newSPSC[taskletEvent](taskletInputEvents, t.tlLoop.notify),
-		blockReq:    make(chan func() error, 1),
+		blockReq:    make(chan blockingOp, 1),
 		blockRes:    make(chan error, 1),
-		nextFlush:   now.Add(DefaultFlushInterval),
 		feederDone:  make(chan struct{}),
 		blockerDone: make(chan struct{}),
 	}
 	t.tl = tl
-	t.sched.next = t.env.commitTick(now)
 
 	feedCtx, stopFeed := context.WithCancel(ctx)
 	go t.feed(feedCtx)
@@ -458,7 +427,7 @@ func (t *Task) runTasklet(ctx context.Context) error {
 
 	// Teardown order matters: the feeder owns the input cursor and the
 	// blocker may own the appender mid-commit; both must finish before
-	// the deferred closeAppenders runs.
+	// Run's deferred closeAppenders runs.
 	stopFeed()
 	<-tl.feederDone
 	close(tl.blockReq)
@@ -476,68 +445,49 @@ func (t *Task) runTasklet(ctx context.Context) error {
 func (t *Task) feed(ctx context.Context) {
 	tl := t.tl
 	defer close(tl.feederDone)
-	for {
-		if ctx.Err() != nil {
-			return
-		}
+	for ctx.Err() == nil {
 		recs, err := t.inCursor.NextBatchBlocking(ctx, t.readBatch)
-		switch {
-		case err == nil && len(recs) > 0:
+		var ev taskletEvent
+		if err == nil {
 			// The cursor's batch is a view into its internal buffer,
 			// invalidated by the next fetch; the records themselves are
 			// immutable and safely shared, so copying the slice header's
 			// worth of pointers is enough.
-			cp := make([]*sharedlog.Record, len(recs))
-			copy(cp, recs)
-			if !tl.in.push(ctx, taskletEvent{kind: evRecords, recs: cp}) {
+			ev = taskletEvent{kind: evRecords, recs: append([]*sharedlog.Record(nil), recs...)}
+		} else {
+			switch fault, horizon := t.retry.handleReadErr(ctx, err, t.inCursor, t.log); fault {
+			case readStopped:
 				return
+			case readRetry:
+				continue
+			case readSeeked:
+				ev = taskletEvent{kind: evSeek, seek: horizon}
+			case readFatal:
+				ev = taskletEvent{kind: evErr, err: err}
 			}
-		case err == nil:
-			// Defensive: NextBatchBlocking does not return empty success.
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			return
-		case errors.Is(err, sharedlog.ErrCursorInvalidated):
-			horizon := t.log.TrimHorizon()
-			t.inCursor.Seek(horizon)
-			if !tl.in.push(ctx, taskletEvent{kind: evSeek, seek: horizon}) {
-				return
-			}
-		case sharedlog.IsRetryable(err):
-			t.Metrics.Retries.Add(1)
-			if !t.retry.sleep(ctx, t.retry.backoff(0)) {
-				return
-			}
-		default:
-			tl.in.push(ctx, taskletEvent{kind: evErr, err: err})
+		}
+		if !tl.in.push(ctx, ev) || ev.kind == evErr {
 			return
 		}
 	}
 }
 
-// blockerLoop runs the task's blocking operations (commit,
-// aligned-checkpoint completion) off the loop. At most one is in flight;
-// blockRes is buffered so delivery never blocks, and the poke wakes the
-// loop to collect the result promptly.
+// blockerLoop runs the task's blocking operations off the loop
+// (Task.runBlocking hands them over). At most one is in flight; blockRes
+// is buffered so delivery never blocks, and the poke wakes the loop to
+// collect the result promptly.
 func (t *Task) blockerLoop() {
 	tl := t.tl
 	defer close(tl.blockerDone)
-	for fn := range tl.blockReq {
-		tl.blockRes <- fn()
+	for op := range tl.blockReq {
+		tl.blockRes <- t.doBlocking(op)
 		poke(t.tlLoop.notify)
 	}
 }
 
-// blockOn hands fn to the blocker and puts the tasklet into the blocked
-// state. Caller must yield immediately after.
-func (t *Task) blockOn(fn func() error) {
-	t.tl.blocked = true
-	t.tl.blockReq <- fn
-}
-
-// taskletStep is one bounded slice of the task's processing loop. The
-// phases mirror the goroutine engine's iteration — ingest, classify,
-// drain, flush, commit — but each invocation is budgeted and every
-// blocking edge is handed off instead of awaited.
+// taskletStep is the loop driver's step: collect the blocker's result if
+// an operation is in flight, otherwise hand the next ring event to
+// Task.step and run it under taskletStepBudget.
 func (t *Task) taskletStep() (progress, done bool, err error) {
 	tl := t.tl
 	if tl.blocked {
@@ -545,211 +495,43 @@ func (t *Task) taskletStep() (progress, done bool, err error) {
 		case err := <-tl.blockRes:
 			tl.blocked = false
 			if err != nil {
-				return true, true, err
+				return true, true, fmt.Errorf("task %s: %w", t.ID, err)
 			}
 			return true, false, nil
 		default:
 			return false, false, nil
 		}
 	}
-	if err := tl.ctx.Err(); err != nil {
-		return true, true, err
-	}
-	if t.env.Faults.Crashed(t.node) {
-		return true, true, fmt.Errorf("task %s: %w", t.ID, sim.ErrCrashed)
-	}
-	t.heartbeat()
-	t.drainCompletions()
-
-	tl.budget = taskletStepBudget
-	progressed := false
-
-	// Finish a budget-paused queue drain before ingesting new input.
-	if tl.pendingDrain {
-		progressed = true
-		if err := t.drainQueueCoop(); err != nil {
-			return true, true, fmt.Errorf("task %s: %w", t.ID, err)
-		}
-	}
-	if !tl.pendingDrain {
-		if tl.recs == nil {
-			if ev, ok := tl.in.tryPop(); ok {
-				progressed = true
-				switch ev.kind {
-				case evRecords:
-					tl.recs, tl.ri = ev.recs, 0
-				case evSeek:
-					t.cursor = ev.seek
-				case evErr:
-					return true, true, fmt.Errorf("task %s: read: %w", t.ID, ev.err)
-				}
-			}
-		} else {
-			progressed = true
-		}
-		if tl.recs != nil && tl.budget > 0 {
-			if err := t.ingestEventStep(); err != nil {
-				return true, true, fmt.Errorf("task %s: %w", t.ID, err)
-			}
-			if tl.blocked {
-				return true, false, nil
+	popped := false
+	if t.recs == nil && !t.pendingDrain {
+		var ev taskletEvent
+		if ev, popped = tl.in.tryPop(); popped {
+			switch ev.kind {
+			case evRecords:
+				t.recs = ev.recs
+			case evSeek:
+				t.cursor = ev.seek
+			case evErr:
+				return true, true, fmt.Errorf("task %s: read: %w", t.ID, ev.err)
 			}
 		}
 	}
-
-	now := t.env.Clock.Now()
-	if !now.Before(tl.nextFlush) {
-		t.flushOutputs()
-		tl.nextFlush = now.Add(DefaultFlushInterval)
-		progressed = true
-	}
-	dry := tl.recs == nil && !tl.pendingDrain && tl.in.empty()
-	if t.commitDue(now, dry) {
-		// Commits drain in-flight appends and append the commit record —
-		// blocking work, so it runs on the blocker with exclusive
-		// ownership. Yielding here is always at a producer-batch
-		// boundary: ingest pauses only between batches.
-		t.blockOn(func() error {
-			if err := t.commit(tl.ctx); err != nil {
-				return fmt.Errorf("task %s: commit: %w", t.ID, err)
-			}
-			return nil
-		})
-		return true, false, nil
-	}
-	return progressed, false, nil
+	worked, err := t.step(taskletStepBudget, !tl.in.empty())
+	return popped || worked, err != nil, err
 }
 
 // taskletWait reports the time until the task's next internal deadline;
 // the loop parks at most this long when idle.
 func (t *Task) taskletWait() time.Duration {
-	tl := t.tl
-	if tl.blocked {
+	if t.tl.blocked {
 		return loopMaxPark // the blocker pokes the loop on completion
 	}
 	now := t.env.Clock.Now()
-	d := tl.nextFlush.Sub(now)
+	d := t.nextFlush.Sub(now)
 	if c := t.sched.next.Sub(now); c < d {
 		d = c
 	}
 	return d
-}
-
-// ingestEventStep consumes the current input event from the resumable
-// position tl.ri, mirroring ingestBatch record-for-record, but pausing
-// (without consuming the record in hand) whenever the budget runs out
-// and handing alignment completion to the blocker.
-func (t *Task) ingestEventStep() error {
-	tl := t.tl
-	for tl.ri < len(tl.recs) {
-		if tl.budget <= 0 {
-			return nil // yield; resume at tl.ri next step
-		}
-		rec := tl.recs[tl.ri]
-		b, err := DecodeBatch(rec.Payload)
-		if err != nil {
-			return err
-		}
-		port, group, tag := t.routeFor(rec)
-
-		if b.Kind.isControl() {
-			// Data queued ahead of this control record drains first so
-			// classification happens at the control's exact LSN position
-			// (the same order ingestBatch preserves).
-			if len(t.queue) > 0 {
-				if err := t.drainQueueCoop(); err != nil {
-					return err
-				}
-				if tl.pendingDrain {
-					return nil // budget out; rec is reprocessed next step
-				}
-			}
-			t.cursor = rec.LSN + 1
-			tl.ri++
-			if b.Kind == KindBarrier && t.align != nil {
-				complete, err := t.onBarrier(b, rec.LSN)
-				if err != nil {
-					return err
-				}
-				if complete {
-					// The final barrier arrived: completing the alignment
-					// snapshots synchronously and drains appends, so it
-					// runs on the blocker; ingest resumes at tl.ri after.
-					t.blockOn(func() error {
-						if err := t.completeAlignment(); err != nil {
-							return fmt.Errorf("task %s: %w", t.ID, err)
-						}
-						return nil
-					})
-					return nil
-				}
-				continue
-			}
-			if err := t.observeControl(b, rec.LSN); err != nil {
-				return err
-			}
-			if err := t.drainQueueCoop(); err != nil {
-				return err
-			}
-			if tl.pendingDrain {
-				return nil
-			}
-			continue
-		}
-
-		t.cursor = rec.LSN + 1
-		tl.ri++
-		switch b.Kind {
-		case KindSource, KindData:
-			if fl, ok := t.groupFloor[group]; ok && rec.LSN < fl {
-				// Below the group's handoff floor (same as ingestBatch).
-				t.Metrics.DroppedBelowFloor.Add(uint64(len(b.Records)))
-				continue
-			}
-			if t.align != nil && t.align.blocked(b.Producer) {
-				t.align.buffer(queuedBatch{lsn: rec.LSN, port: port, group: group, tag: tag, batch: b})
-				continue
-			}
-			t.queue = append(t.queue, queuedBatch{lsn: rec.LSN, port: port, group: group, tag: tag, batch: b})
-			t.Metrics.Buffered.Add(uint64(len(b.Records)))
-		default:
-			// Foreign control-plane kinds; ignore defensively (same as
-			// ingestBatch).
-		}
-	}
-	tl.recs, tl.ri = nil, 0
-	return t.drainQueueCoop()
-}
-
-// drainQueueCoop is drainQueue under the step budget: it pauses between
-// producer batches when the budget runs out (tl.pendingDrain) instead
-// of draining to exhaustion. Classification and processing are the
-// shared code paths.
-func (t *Task) drainQueueCoop() error {
-	tl := t.tl
-	for len(t.queue) > 0 {
-		if tl.budget <= 0 {
-			tl.pendingDrain = true
-			return nil
-		}
-		head := t.queue[0]
-		switch t.classify(head) {
-		case classCommitted:
-			t.queue = t.queue[1:]
-			if err := t.processBatch(head); err != nil {
-				return err
-			}
-		case classUncommitted:
-			t.queue = t.queue[1:]
-			t.Metrics.DroppedUncommitted.Add(uint64(len(head.batch.Records)))
-			t.activity = true
-		case classUnknown:
-			tl.pendingDrain = false
-			return nil
-		}
-	}
-	tl.pendingDrain = false
-	return nil
 }
 
 // drainCompletions folds append completions posted by the batcher into
@@ -798,117 +580,4 @@ func (t *Task) SchedulerProgress() uint64 {
 		p += t.tlLoop.rounds.Load()
 	}
 	return p
-}
-
-// --- sink tasklet ---
-
-// runTasklet is Sink.Run on the cooperative engine: same feeder/ring
-// shape as the task tasklet, with the shutdown sweep kept on the Run
-// goroutine after the tasklet unwinds.
-func (s *Sink) runTasklet(ctx context.Context) error {
-	tags := s.tags()
-	tagIndex := make(map[sharedlog.Tag]int, len(tags))
-	for i, t := range tags {
-		tagIndex[t] = i
-	}
-	retry := newRetrier(s.env, "", nil)
-	readBatch := s.env.ReadBatch
-	if readBatch <= 0 {
-		readBatch = DefaultReadBatch
-	}
-	s.safe.Store(uint64(s.start))
-	cur := s.env.Log.OpenCursor(tags, s.start)
-
-	name := "sink/" + string(s.stream)
-	loop := s.env.loops.place(name)
-	in := newSPSC[taskletEvent](taskletInputEvents, loop.notify)
-	feederDone := make(chan struct{})
-	feedCtx, stopFeed := context.WithCancel(ctx)
-	go func() {
-		defer close(feederDone)
-		for {
-			if feedCtx.Err() != nil {
-				return
-			}
-			recs, err := cur.NextBatchBlocking(feedCtx, readBatch)
-			switch {
-			case err == nil && len(recs) > 0:
-				cp := make([]*sharedlog.Record, len(recs))
-				copy(cp, recs)
-				if !in.push(feedCtx, taskletEvent{kind: evRecords, recs: cp}) {
-					return
-				}
-			case err == nil:
-			case errors.Is(err, context.Canceled):
-				return
-			case errors.Is(err, sharedlog.ErrCursorInvalidated):
-				s.noteInvalidation()
-				cur.Seek(s.env.Log.TrimHorizon())
-			case sharedlog.IsRetryable(err):
-				if !retry.sleep(feedCtx, retry.backoff(0)) {
-					return
-				}
-			default:
-				in.push(feedCtx, taskletEvent{kind: evErr, err: err})
-				return
-			}
-		}
-	}()
-
-	result := make(chan error, 1)
-	loop.register(&tasklet{
-		name: name,
-		step: func() (bool, bool, error) {
-			if err := ctx.Err(); err != nil {
-				return true, true, err
-			}
-			ev, ok := in.tryPop()
-			if !ok {
-				return false, false, nil
-			}
-			if ev.kind == evErr {
-				return true, true, ev.err
-			}
-			for _, rec := range ev.recs {
-				if err := s.ingest(ctx, rec, tags, tagIndex); err != nil {
-					return true, true, err
-				}
-			}
-			if len(ev.recs) > 0 {
-				s.updateSafe(ev.recs[len(ev.recs)-1].LSN + 1)
-			}
-			return true, false, nil
-		},
-		wait:   func() time.Duration { return loopMaxPark },
-		result: result,
-	})
-	err := <-result
-	stopFeed()
-	<-feederDone
-	if errors.Is(err, errEngineStopped) && ctx.Err() != nil {
-		err = ctx.Err()
-	}
-	if ctx.Err() != nil {
-		// Cancellation path: first ingest the events the feeder had
-		// already read (the cursor is past them, so the sweep alone would
-		// skip them), then run the usual drain-on-cancel sweep.
-		for {
-			ev, ok := in.tryPop()
-			if !ok {
-				break
-			}
-			if ev.kind != evRecords {
-				continue
-			}
-			for _, rec := range ev.recs {
-				if e := s.ingest(context.Background(), rec, tags, tagIndex); e != nil {
-					break
-				}
-			}
-			s.updateSafe(ev.recs[len(ev.recs)-1].LSN + 1)
-		}
-		s.shutdownSweep(cur, tags, tagIndex, readBatch)
-		return ctx.Err()
-	}
-	return err
 }

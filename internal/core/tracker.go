@@ -39,8 +39,11 @@ type commitTracker interface {
 	// observeControl ingests a control record addressed to this
 	// consumer's substream; lsn is the control record's position.
 	observeControl(b *Batch, lsn LSN) error
-	// classify judges a data batch at position lsn.
-	classify(b *Batch, lsn LSN) classification
+	// classify judges a data batch that arrived on tag at position lsn.
+	// The tag matters under progress markers only: a marker commits a
+	// range per substream, so a consumer of several tags must judge a
+	// batch against the one it arrived on.
+	classify(tag sharedlog.Tag, b *Batch, lsn LSN) classification
 }
 
 // --- Impeller progress markers ---
@@ -218,7 +221,7 @@ func (t *txnTracker) observeControl(b *Batch, _ LSN) error {
 	return nil
 }
 
-func (t *txnTracker) classify(b *Batch, _ LSN) classification {
+func (t *txnTracker) classify(_ sharedlog.Tag, b *Batch, _ LSN) classification {
 	if b.Kind == KindSource || b.Epoch == 0 {
 		// Non-transactional produce: committed on arrival, exactly as
 		// Kafka's read_committed treats non-transactional messages.
@@ -250,5 +253,7 @@ func (t *txnTracker) classify(b *Batch, _ LSN) classification {
 // guarantee.
 type openTracker struct{}
 
-func (openTracker) observeControl(*Batch, LSN) error    { return nil }
-func (openTracker) classify(*Batch, LSN) classification { return classCommitted }
+func (openTracker) observeControl(*Batch, LSN) error { return nil }
+func (openTracker) classify(sharedlog.Tag, *Batch, LSN) classification {
+	return classCommitted
+}

@@ -152,7 +152,7 @@ func TestPropertyTxnTrackerMatchesOracle(t *testing.T) {
 			}
 		}
 		for _, x := range txns {
-			got := tr.classify(&Batch{Kind: KindData, Producer: x.producer, Instance: 1, Epoch: x.epoch}, 0)
+			got := tr.classify("", &Batch{Kind: KindData, Producer: x.producer, Instance: 1, Epoch: x.epoch}, 0)
 			want := classUncommitted
 			if x.commit {
 				want = classCommitted

@@ -142,38 +142,38 @@ func TestTxnTrackerLifecycle(t *testing.T) {
 		return &Batch{Kind: KindData, Producer: "p", Instance: 1, Epoch: epoch}
 	}
 	// Non-transactional (epoch 0) commits immediately.
-	if c := tr.classify(&Batch{Kind: KindData, Producer: "x", Epoch: 0}, 1); c != classCommitted {
+	if c := tr.classify("", &Batch{Kind: KindData, Producer: "x", Epoch: 0}, 1); c != classCommitted {
 		t.Fatalf("epoch 0 = %v", c)
 	}
 	// Open transaction: unknown.
-	if c := tr.classify(d(1), 5); c != classUnknown {
+	if c := tr.classify("", d(1), 5); c != classUnknown {
 		t.Fatalf("open txn = %v", c)
 	}
 	// Commit epoch 1.
 	if err := tr.observeControl(&Batch{Kind: KindTxnCommit, Producer: "p", Instance: 1, Epoch: 1}, 6); err != nil {
 		t.Fatal(err)
 	}
-	if c := tr.classify(d(1), 5); c != classCommitted {
+	if c := tr.classify("", d(1), 5); c != classCommitted {
 		t.Fatalf("committed txn = %v", c)
 	}
-	if c := tr.classify(d(2), 7); c != classUnknown {
+	if c := tr.classify("", d(2), 7); c != classUnknown {
 		t.Fatalf("next txn = %v", c)
 	}
 	// Abort epoch 2.
 	if err := tr.observeControl(&Batch{Kind: KindTxnAbort, Producer: "p", Instance: 1, Epoch: 2}, 8); err != nil {
 		t.Fatal(err)
 	}
-	if c := tr.classify(d(2), 7); c != classUncommitted {
+	if c := tr.classify("", d(2), 7); c != classUncommitted {
 		t.Fatalf("aborted txn = %v", c)
 	}
 	// Epoch 3 commits; earlier epochs of same instance stay resolved.
 	if err := tr.observeControl(&Batch{Kind: KindTxnCommit, Producer: "p", Instance: 1, Epoch: 3}, 9); err != nil {
 		t.Fatal(err)
 	}
-	if c := tr.classify(d(3), 9); c != classCommitted {
+	if c := tr.classify("", d(3), 9); c != classCommitted {
 		t.Fatalf("epoch 3 = %v", c)
 	}
-	if c := tr.classify(d(2), 7); c != classUncommitted {
+	if c := tr.classify("", d(2), 7); c != classUncommitted {
 		t.Fatalf("aborted epoch after later commit = %v", c)
 	}
 }
@@ -185,7 +185,7 @@ func TestTxnTrackerFencedInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := &Batch{Kind: KindData, Producer: "p", Instance: 1, Epoch: 5}
-	if c := tr.classify(old, 3); c != classUncommitted {
+	if c := tr.classify("", old, 3); c != classUncommitted {
 		t.Fatalf("fenced instance data = %v, want uncommitted", c)
 	}
 	// But instance 1's previously committed epochs remain committed.
@@ -193,14 +193,14 @@ func TestTxnTrackerFencedInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldCommitted := &Batch{Kind: KindData, Producer: "p", Instance: 1, Epoch: 4}
-	if c := tr.classify(oldCommitted, 1); c != classCommitted {
+	if c := tr.classify("", oldCommitted, 1); c != classCommitted {
 		t.Fatalf("old committed epoch = %v, want committed", c)
 	}
 }
 
 func TestOpenTrackerCommitsEverything(t *testing.T) {
 	tr := openTracker{}
-	if c := tr.classify(data("p", 1), 100); c != classCommitted {
+	if c := tr.classify("", data("p", 1), 100); c != classCommitted {
 		t.Fatalf("open tracker = %v", c)
 	}
 }
@@ -210,16 +210,16 @@ func TestMultiTagTrackerRoutesByTag(t *testing.T) {
 	mt := newMultiTagMarkerTracker([]sharedlog.Tag{tagA, tagB})
 	// One marker commits different ranges on the two inputs of a join.
 	mk := marker("p", 1, map[sharedlog.Tag]sharedlog.LSN{tagA: 5, tagB: 8})
-	if err := mt.observe(mk, 10); err != nil {
+	if err := mt.observeControl(mk, 10); err != nil {
 		t.Fatal(err)
 	}
-	if c := mt.classifyTagged(tagA, data("p", 1), 6); c != classCommitted {
+	if c := mt.classify(tagA, data("p", 1), 6); c != classCommitted {
 		t.Fatalf("tagA lsn6 = %v", c)
 	}
-	if c := mt.classifyTagged(tagB, data("p", 1), 6); c != classUncommitted {
+	if c := mt.classify(tagB, data("p", 1), 6); c != classUncommitted {
 		t.Fatalf("tagB lsn6 = %v (range starts at 8)", c)
 	}
-	if c := mt.classifyTagged(tagB, data("p", 1), 9); c != classCommitted {
+	if c := mt.classify(tagB, data("p", 1), 9); c != classCommitted {
 		t.Fatalf("tagB lsn9 = %v", c)
 	}
 }
