@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race bench bench-compare benchmark-check loc chaos fuzz-smoke alloc recovery-smoke scaling-smoke egress-smoke tasklet-smoke rescale-smoke
+.PHONY: check build vet fmt test race bench bench-compare benchmark-check loc chaos fuzz-smoke alloc smoke
 
 # check is the full gate: build, vet, formatting, unit tests, the
 # race-detector run over the packages with real concurrency, the
-# short seeded chaos suite, the decoder fuzz smokes, and the recovery,
-# scaling, egress, tasklet, and rescale smokes — plus the benchmark
-# module, which the root build does not reach.
-check: build vet fmt test benchmark-check race chaos fuzz-smoke recovery-smoke scaling-smoke egress-smoke tasklet-smoke rescale-smoke
+# short seeded chaos suite, the decoder fuzz smokes, and the experiment
+# smokes — plus the benchmark module, which the root build does not
+# reach.
+check: build vet fmt test benchmark-check race chaos fuzz-smoke smoke
 
 build:
 	$(GO) build ./...
@@ -66,41 +66,25 @@ fuzz-smoke:
 alloc:
 	$(GO) test -run 'Alloc' ./internal/sharedlog/ ./internal/core/ -v
 
-# recovery-smoke runs one depth point of the -exp recovery experiment
-# (streaming read plane: batched replay must beat per-record replay on
-# round trips), as a fast sibling of the chaos gate.
-recovery-smoke:
-	$(GO) run ./cmd/impeller-bench -exp recovery -depths 500 -scale 0.02
-
-# scaling-smoke runs a two-point -exp scaling curve (sharded ordering
-# plane: 4 ordering shards must beat 1 on aggregate append throughput),
-# as a fast sibling of the chaos gate. The full curve with the committed
-# numbers is results/scaling.csv (see EXPERIMENTS.md).
-scaling-smoke:
+# smoke runs four short impeller-bench experiments as fast siblings of
+# the chaos gate; the full runs with the committed numbers are in
+# results/ (see EXPERIMENTS.md).
+#  - scaling: a two-point curve of the sharded ordering plane (4 ordering
+#    shards must beat 1 on aggregate append throughput).
+#  - egress: transactional sink delivery — delivered-record latency per
+#    protocol, then chaos-verified recovery from hard sink kills with the
+#    replacement resuming from the persisted ack frontier.
+#  - tasklet-smoke: the same deterministic NEXMark pipeline on the
+#    goroutine and tasklet engines; fails on any output divergence
+#    (oracle-verified, value-exact).
+#  - rescale: the oracle-verified chaos cells (live splits/merges with
+#    the rescaler killed mid-transition, exactly-once checked at the
+#    consumer, both engines), then a scripted mid-run split through the
+#    public API.
+smoke:
 	$(GO) run ./cmd/impeller-bench -exp scaling -shards 1,4 -clients 96 -duration 600ms
-
-# egress-smoke runs a fast -exp egress point (transactional sink
-# delivery: delivered-record latency per protocol, then chaos-verified
-# recovery from hard sink kills with the replacement resuming from the
-# persisted ack frontier). The full run with the committed numbers is
-# results/egress.csv (see EXPERIMENTS.md).
-egress-smoke:
 	$(GO) run ./cmd/impeller-bench -exp egress -duration 800ms -scale 0.05
-
-# tasklet-smoke runs the same deterministic NEXMark pipeline on the
-# goroutine and tasklet engines and fails on any output divergence
-# (oracle-verified, value-exact), as a fast sibling of the chaos gate.
-# The tail-latency comparison with the committed numbers is
-# results/tasklet.md (see EXPERIMENTS.md).
-tasklet-smoke:
 	$(GO) run ./cmd/impeller-bench -exp tasklet-smoke
-
-# rescale-smoke gates elastic rescaling: the oracle-verified chaos
-# cells (live splits/merges with the rescaler killed mid-transition,
-# exactly-once checked at the consumer, both engines), then a scripted
-# mid-run split through the public API via a short -exp rescale run.
-# The recorded step-load run is results/rescale.md (see EXPERIMENTS.md).
-rescale-smoke:
 	$(GO) test -race -run 'TestChaosRescale' ./internal/chaos/ -timeout 300s
 	$(GO) run ./cmd/impeller-bench -exp rescale -duration 2s -scale 0.05
 

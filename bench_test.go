@@ -23,10 +23,10 @@ import (
 func BenchmarkTable2LogLatency(b *testing.B) {
 	var last []bench.Table2Row
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunTable2(bench.Table2Config{
+		rows, err := bench.RunTable2(bench.Params{
 			Rates:    []int{100},
 			Duration: 500 * time.Millisecond,
-		})
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,12 +52,11 @@ func benchFig7Query(b *testing.B, query int) {
 			var last *bench.RunResult
 			for i := 0; i < b.N; i++ {
 				res, err := bench.RunNexmark(bench.RunConfig{
-					Query:           query,
-					Protocol:        proto,
-					Rate:            2000,
-					Duration:        800 * time.Millisecond,
-					Warmup:          200 * time.Millisecond,
-					SimulateLatency: true,
+					Query:    query,
+					Rate:     2000,
+					Duration: 800 * time.Millisecond,
+					Warmup:   200 * time.Millisecond,
+					Cluster:  impeller.ClusterConfig{Protocol: proto, SimulateLatency: true},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -83,31 +82,34 @@ func BenchmarkFig7NexmarkQ6(b *testing.B) { benchFig7Query(b, 6) }
 func BenchmarkFig7NexmarkQ7(b *testing.B) { benchFig7Query(b, 7) }
 func BenchmarkFig7NexmarkQ8(b *testing.B) { benchFig7Query(b, 8) }
 
-// BenchmarkFig8CommitInterval reproduces Figure 8: progress marking vs
-// Kafka transactions as the commit interval shrinks.
+// BenchmarkFig8CommitInterval reproduces the two ends of Figure 8:
+// progress marking vs Kafka transactions as the commit interval shrinks.
 func BenchmarkFig8CommitInterval(b *testing.B) {
 	for _, interval := range []time.Duration{100 * time.Millisecond, 10 * time.Millisecond} {
 		interval := interval
 		b.Run(interval.String(), func(b *testing.B) {
-			var last []bench.Fig8Point
+			last := map[impeller.Protocol]*bench.RunResult{}
 			for i := 0; i < b.N; i++ {
-				points, err := bench.RunFig8(bench.Fig8Config{
-					Query:     4,
-					Rate:      2000,
-					Intervals: []time.Duration{interval},
-					Duration:  800 * time.Millisecond,
-					Simulate:  true,
-				}, nil)
-				if err != nil {
-					b.Fatal(err)
+				for _, proto := range []impeller.Protocol{impeller.ProgressMarker, impeller.KafkaTxn} {
+					res, err := bench.RunNexmark(bench.RunConfig{
+						Query:    4,
+						Rate:     2000,
+						Duration: 800 * time.Millisecond,
+						Cluster: impeller.ClusterConfig{
+							Protocol: proto, CommitInterval: interval, SimulateLatency: true,
+						},
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					last[proto] = res
 				}
-				last = points
 			}
-			p := last[0]
-			b.ReportMetric(float64(p.Marker.P50.Microseconds()), "marker-p50-µs")
-			b.ReportMetric(float64(p.Txn.P50.Microseconds()), "txn-p50-µs")
-			b.ReportMetric(float64(p.Marker.P99.Microseconds()), "marker-p99-µs")
-			b.ReportMetric(float64(p.Txn.P99.Microseconds()), "txn-p99-µs")
+			marker, txn := last[impeller.ProgressMarker], last[impeller.KafkaTxn]
+			b.ReportMetric(float64(marker.P50.Microseconds()), "marker-p50-µs")
+			b.ReportMetric(float64(txn.P50.Microseconds()), "txn-p50-µs")
+			b.ReportMetric(float64(marker.P99.Microseconds()), "marker-p99-µs")
+			b.ReportMetric(float64(txn.P99.Microseconds()), "txn-p99-µs")
 		})
 	}
 }
@@ -121,12 +123,11 @@ func BenchmarkFig9UnsafeCost(b *testing.B) {
 			var last *bench.RunResult
 			for i := 0; i < b.N; i++ {
 				res, err := bench.RunNexmark(bench.RunConfig{
-					Query:           5,
-					Protocol:        proto,
-					Rate:            2000,
-					Duration:        800 * time.Millisecond,
-					Warmup:          200 * time.Millisecond,
-					SimulateLatency: true,
+					Query:    5,
+					Rate:     2000,
+					Duration: 800 * time.Millisecond,
+					Warmup:   200 * time.Millisecond,
+					Cluster:  impeller.ClusterConfig{Protocol: proto, SimulateLatency: true},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -139,16 +140,12 @@ func BenchmarkFig9UnsafeCost(b *testing.B) {
 	}
 }
 
-// BenchmarkTable4Recovery reproduces Table 4: Q8 failure recovery with
-// and without asynchronous checkpointing.
+// BenchmarkTable4Recovery reproduces one rate point of Table 4: Q8
+// failure recovery with and without asynchronous checkpointing.
 func BenchmarkTable4Recovery(b *testing.B) {
 	var last []bench.Table4Row
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunTable4(bench.Table4Config{
-			Rates:       []int{1500},
-			RunFor:      1200 * time.Millisecond,
-			Parallelism: 2,
-		}, nil)
+		rows, err := bench.RunTable4(bench.Params{Rates: []int{1500}}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -248,12 +245,12 @@ func BenchmarkAblationCommitIntervalStalls(b *testing.B) {
 			var stalls, commits uint64
 			for i := 0; i < b.N; i++ {
 				res, err := bench.RunNexmark(bench.RunConfig{
-					Query:           4,
-					Protocol:        impeller.KafkaTxn,
-					Rate:            2000,
-					Duration:        700 * time.Millisecond,
-					CommitInterval:  interval,
-					SimulateLatency: true,
+					Query:    4,
+					Rate:     2000,
+					Duration: 700 * time.Millisecond,
+					Cluster: impeller.ClusterConfig{
+						Protocol: impeller.KafkaTxn, CommitInterval: interval, SimulateLatency: true,
+					},
 				})
 				if err != nil {
 					b.Fatal(err)

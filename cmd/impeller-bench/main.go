@@ -1,26 +1,14 @@
 // Command impeller-bench regenerates the paper's evaluation tables and
-// figures (§5) against the in-process Impeller cluster:
+// figures (§5), and this repository's own experiments, against the
+// in-process Impeller cluster:
 //
-//	impeller-bench -exp table2                 # log latency, Boki vs Kafka
-//	impeller-bench -exp fig7 -query 5          # latency vs throughput sweep
-//	impeller-bench -exp fig7                   # ... for all eight queries
-//	impeller-bench -exp fig8 -query 4          # commit-interval sweep
-//	impeller-bench -exp fig9                   # Q5 cost of exactly-once
-//	impeller-bench -exp table4                 # failure recovery
-//	impeller-bench -exp crossover -duration 20s  # checkpointing vs state growth
-//	impeller-bench -exp chaos                  # exactly-once under fault schedules
-//	impeller-bench -exp batching -query 1      # batched dataplane ablation
-//	impeller-bench -exp recovery -depths 2000,10000  # replay round trips, per-record vs batched
-//	impeller-bench -exp scaling -shards 1,2,4,8  # append throughput vs ordering shards
-//	impeller-bench -exp egress                 # delivered-record latency + sink-kill recovery
-//	impeller-bench -exp durability -depths 2000,10000,50000  # WAL append overhead + recovery vs log length
-//	impeller-bench -exp tail -tpc 1,2,4,8      # deep-tail latency, goroutine vs tasklet engine
-//	impeller-bench -exp tasklet-smoke          # output equivalence across engines
-//	impeller-bench -exp rescale                # live parallelism doubling under a step load
+//	impeller-bench -exp table2
+//	impeller-bench -exp fig7 -query 5 -rates 4000,8000 -duration 1s -csv fig7.csv
 //
-// Any experiment accepts -engine tasklet to run on the cooperative
-// tasklet engine, and -cpuprofile/-traceprofile to capture runtime
-// profiles of the run.
+// Run it without -exp for the list of experiments (the table in this
+// file) and flags. Every experiment takes -engine tasklet to run on the
+// cooperative tasklet engine and -cpuprofile/-traceprofile to capture
+// runtime profiles of the run.
 //
 // Absolute numbers depend on the host and the latency calibration; the
 // shapes (who wins, where curves cross) are the reproduction target.
@@ -30,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"runtime/trace"
@@ -41,13 +30,91 @@ import (
 	"impeller/internal/bench"
 )
 
+// runFunc runs one experiment with the flags' settings: progress (nil
+// unless -v) receives every point as it completes, out the rendered
+// table, csv (nil unless -csv) the machine-readable rows.
+type runFunc func(p bench.Params, progress, out, csv io.Writer) error
+
+// experiments is every value -exp accepts, in the order the usage text
+// lists them.
+var experiments = []struct {
+	name, usage string
+	run         runFunc
+}{
+	{"table2", "log produce-to-consume latency, Boki vs Kafka (-rates: appends/s)",
+		experiment(bench.RunTable2, bench.PrintTable2, bench.WriteTable2CSV)},
+	{"fig7", "latency vs throughput per protocol (-query, 0 = all eight; -rates)",
+		perQuery(experiment(bench.RunFig7, bench.PrintFig7, bench.WriteFig7CSV))},
+	{"fig8", "commit-interval sweep, markers vs transactions (-query, 0 = all eight; -rate)",
+		perQuery(experiment(bench.RunFig8, bench.PrintFig8, bench.WriteFig8CSV))},
+	{"fig9", "Q5 cost of exactly-once: the three protocols vs unsafe (-rates)",
+		experiment(bench.RunFig9, bench.PrintFig9, bench.WriteFig7CSV)},
+	{"table4", "Q8 failure recovery with and without checkpointing (-rates)",
+		experiment(bench.RunTable4, bench.PrintTable4, bench.WriteTable4CSV)},
+	{"crossover", "aligned checkpoints vs markers as state grows (-query -rate; use -duration 20s)",
+		experiment(bench.RunCrossover, bench.PrintCrossover, nil)},
+	{"chaos", "exactly-once under seeded fault schedules (-query, 0 = 1, 11 and 12)",
+		experiment(bench.RunChaosTable, bench.PrintChaosTable, nil)},
+	{"scaling", "append throughput vs ordering shards (-shards -clients)",
+		experiment(bench.RunScaling, bench.PrintScaling, bench.WriteScalingCSV)},
+	{"egress", "delivered-record latency, then recovery from sink kills (-query -rate)",
+		experiment(bench.RunEgress, bench.PrintEgress, bench.WriteEgressCSV)},
+	{"durability", "WAL append overhead, then recovery time vs log length (-query -rate -depths)",
+		experiment(bench.RunDurability, bench.PrintDurability, bench.WriteDurabilityCSV)},
+	{"tail", "deep-tail latency vs task density, goroutine vs tasklet engine (-query -rate -tpc)",
+		experiment(bench.RunTail, bench.PrintTail, bench.WriteTailCSV)},
+	{"tasklet-smoke", "output equivalence of the two engines, oracle-verified (-query)",
+		experiment(bench.RunTaskletSmoke, bench.PrintSmoke, nil)},
+	{"rescale", "live parallelism doubling under a step load (-query -rate)",
+		experiment(bench.RunRescaleBench, bench.PrintRescaleBench, bench.WriteRescaleCSV)},
+}
+
+// experiment makes a table entry's run from an experiment's three
+// parts in internal/bench: measure, render, export (writeCSV may be nil).
+func experiment[R any](measure func(bench.Params, io.Writer) (R, error), render func(io.Writer, R), writeCSV func(io.Writer, R) error) runFunc {
+	return func(p bench.Params, progress, out, csv io.Writer) error {
+		res, err := measure(p, progress)
+		if err != nil {
+			return err
+		}
+		render(out, res)
+		if csv != nil && writeCSV != nil {
+			return writeCSV(csv, res)
+		}
+		return nil
+	}
+}
+
+// perQuery repeats a one-query experiment over all eight NEXMark
+// queries when -query is 0.
+func perQuery(run runFunc) runFunc {
+	return func(p bench.Params, progress, out, csv io.Writer) error {
+		queries := []int{p.Query}
+		if p.Query == 0 {
+			queries = []int{1, 2, 3, 4, 5, 6, 7, 8}
+		}
+		for _, q := range queries {
+			p.Query = q
+			if err := run(p, progress, out, csv); err != nil {
+				return err
+			}
+			fmt.Fprintln(out)
+		}
+		return nil
+	}
+}
+
 func main() {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
 	var (
-		exp      = flag.String("exp", "", "experiment: table2 | fig7 | fig8 | fig9 | table4 | crossover | chaos | batching | recovery | scaling | egress | durability | tail | tasklet-smoke | rescale")
-		rate     = flag.Int("rate", 0, "offered event rate for single-rate experiments (batching, recovery); 0 = per-query default")
-		query    = flag.Int("query", 0, "NEXMark query (fig7/fig8); 0 = all")
-		rates    = flag.String("rates", "", "comma-separated event rates (events/s)")
-		depths   = flag.String("depths", "", "comma-separated change-log depths for -exp recovery")
+		exp      = flag.String("exp", "", "experiment: "+strings.Join(names, " | "))
+		rate     = flag.Int("rate", 0, "offered event rate of a single-rate experiment; 0 = the experiment's default")
+		query    = flag.Int("query", 0, "NEXMark query; 0 = the experiment's default")
+		rates    = flag.String("rates", "", "comma-separated event rates (events/s) of a sweep")
+		depths   = flag.String("depths", "", "comma-separated log depths for -exp durability")
 		shards   = flag.String("shards", "", "comma-separated ordering-shard counts for -exp scaling")
 		clients  = flag.Int("clients", 0, "concurrent appenders for -exp scaling; 0 = default (256)")
 		duration = flag.Duration("duration", 3*time.Second, "measurement duration per point")
@@ -60,27 +127,58 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		trcProf  = flag.String("traceprofile", "", "write a runtime execution trace of the run to this file")
 	)
+	flag.Usage = func() {
+		w := flag.CommandLine.Output()
+		fmt.Fprintln(w, "usage: impeller-bench -exp <experiment> [flags]\n\nexperiments:")
+		for _, e := range experiments {
+			fmt.Fprintf(w, "  %-14s %s\n", e.name, e.usage)
+		}
+		fmt.Fprintln(w, "\nflags:")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-	engineMode, err := impeller.ParseEngineMode(*engine)
-	if err != nil {
+
+	var run runFunc
+	for _, e := range experiments {
+		if e.name == *exp {
+			run = e.run
+		}
+	}
+	if run == nil {
+		if *exp != "" {
+			fmt.Fprintf(os.Stderr, "impeller-bench: no experiment %q\n", *exp)
+		}
+		flag.Usage()
+		os.Exit(2)
+	}
+	p := bench.Params{
+		Query:        *query,
+		Rate:         *rate,
+		Rates:        parseInts("rates", *rates),
+		Duration:     *duration,
+		Simulate:     *simulate,
+		Scale:        *scale,
+		Depths:       parseInts("depths", *depths),
+		Shards:       parseInts("shards", *shards),
+		Clients:      *clients,
+		TasksPerCore: parseInts("tpc", *tpc),
+	}
+	var err error
+	if p.Engine, err = impeller.ParseEngineMode(*engine); err != nil {
 		fmt.Fprintln(os.Stderr, "impeller-bench:", err)
 		os.Exit(2)
 	}
+	var progress, csv io.Writer
+	if *verbose {
+		progress = os.Stderr
+	}
+	var csvFile *os.File
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
+		if csvFile, err = os.Create(*csvPath); err != nil {
 			fmt.Fprintln(os.Stderr, "impeller-bench:", err)
 			os.Exit(1)
 		}
-		csvOut = f
-		defer f.Close()
-	}
-
-	progress := func() *os.File {
-		if *verbose {
-			return os.Stderr
-		}
-		return nil
+		csv = csvFile
 	}
 
 	stopProfiles, err := startProfiles(*cpuProf, *trcProf)
@@ -88,44 +186,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "impeller-bench:", err)
 		os.Exit(1)
 	}
-
-	switch *exp {
-	case "table2":
-		err = runTable2(parseRates(*rates), *duration)
-	case "fig7":
-		err = runFig7(*query, parseRates(*rates), *duration, *simulate, *scale, engineMode, progress())
-	case "fig8":
-		err = runFig8(*query, *duration, *simulate, *scale, progress())
-	case "fig9":
-		err = runFig9(parseRates(*rates), *duration, *simulate, *scale, progress())
-	case "table4":
-		err = runTable4(parseRates(*rates), *simulate, *scale, progress())
-	case "crossover":
-		err = runCrossover(*query, *duration, *simulate, *scale, progress())
-	case "chaos":
-		err = runChaos(*query, engineMode, progress())
-	case "batching":
-		err = runBatching(*query, *rate, *duration, *simulate, *scale, progress())
-	case "recovery":
-		err = runRecovery(parseRates(*depths), *rate, *simulate, *scale, progress())
-	case "scaling":
-		err = runScaling(parseRates(*shards), *clients, *duration, *scale, progress())
-	case "egress":
-		err = runEgress(*query, *rate, *duration, *simulate, *scale, progress())
-	case "durability":
-		err = runDurability(*query, *rate, *duration, parseRates(*depths), *simulate, *scale, progress())
-	case "tail":
-		err = runTail(*query, *rate, parseRates(*tpc), *duration, *simulate, *scale, progress())
-	case "tasklet-smoke":
-		err = runTaskletSmoke(*query, progress())
-	case "rescale":
-		err = runRescaleBench(*query, *rate, *duration, *simulate, *scale, engineMode, progress())
-	default:
-		stopProfiles()
-		flag.Usage()
-		os.Exit(2)
-	}
+	err = run(p, progress, os.Stdout, csv)
 	stopProfiles()
+	if csvFile != nil {
+		if cerr := csvFile.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "impeller-bench:", err)
 		os.Exit(1)
@@ -172,10 +239,9 @@ func startProfiles(cpuPath, tracePath string) (func(), error) {
 	}, nil
 }
 
-// csvOut, when non-nil, receives machine-readable results.
-var csvOut *os.File
-
-func parseRates(s string) []int {
+// parseInts parses a comma-separated list of positive integers, the
+// value of the named flag.
+func parseInts(name, s string) []int {
 	if s == "" {
 		return nil
 	}
@@ -183,268 +249,10 @@ func parseRates(s string) []int {
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "impeller-bench: bad rate %q\n", part)
+			fmt.Fprintf(os.Stderr, "impeller-bench: -%s: bad value %q\n", name, part)
 			os.Exit(2)
 		}
 		out = append(out, n)
 	}
 	return out
-}
-
-func runTable2(rates []int, duration time.Duration) error {
-	rows, err := bench.RunTable2(bench.Table2Config{Rates: rates, Duration: duration})
-	if err != nil {
-		return err
-	}
-	bench.PrintTable2(os.Stdout, rows)
-	if csvOut != nil {
-		return bench.WriteTable2CSV(csvOut, rows)
-	}
-	return nil
-}
-
-func runFig7(query int, rates []int, duration time.Duration, simulate bool, scale float64, engine impeller.EngineMode, progress *os.File) error {
-	queries := []int{query}
-	if query == 0 {
-		queries = []int{1, 2, 3, 4, 5, 6, 7, 8}
-	}
-	for _, q := range queries {
-		series, err := bench.RunFig7(bench.Fig7Config{
-			Query:    q,
-			Rates:    rates,
-			Duration: duration,
-			Simulate: simulate,
-			Scale:    scale,
-			Engine:   engine,
-		}, progress)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig7(os.Stdout, series)
-		if csvOut != nil {
-			if err := bench.WriteFig7CSV(csvOut, series); err != nil {
-				return err
-			}
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func runFig8(query int, duration time.Duration, simulate bool, scale float64, progress *os.File) error {
-	queries := []int{query}
-	if query == 0 {
-		queries = []int{1, 2, 3, 4, 5, 6, 7, 8}
-	}
-	for _, q := range queries {
-		points, err := bench.RunFig8(bench.Fig8Config{
-			Query:    q,
-			Duration: duration,
-			Simulate: simulate,
-			Scale:    scale,
-		}, progress)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig8(os.Stdout, q, points)
-		if csvOut != nil {
-			if err := bench.WriteFig8CSV(csvOut, q, points); err != nil {
-				return err
-			}
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func runFig9(rates []int, duration time.Duration, simulate bool, scale float64, progress *os.File) error {
-	series, err := bench.RunFig9(rates, duration, simulate, scale, progress)
-	if err != nil {
-		return err
-	}
-	bench.PrintFig9(os.Stdout, series)
-	if csvOut != nil {
-		return bench.WriteFig7CSV(csvOut, series)
-	}
-	return nil
-}
-
-func runCrossover(query int, duration time.Duration, simulate bool, scale float64, progress *os.File) error {
-	res, err := bench.RunCrossover(bench.CrossoverConfig{
-		Query:    query,
-		Duration: duration,
-		Simulate: simulate,
-		Scale:    scale,
-	}, progress)
-	if err != nil {
-		return err
-	}
-	bench.PrintCrossover(os.Stdout, res)
-	return nil
-}
-
-func runTable4(rates []int, simulate bool, scale float64, progress *os.File) error {
-	rows, err := bench.RunTable4(bench.Table4Config{
-		Rates:    rates,
-		Simulate: simulate,
-		Scale:    scale,
-	}, progress)
-	if err != nil {
-		return err
-	}
-	bench.PrintTable4(os.Stdout, rows)
-	if csvOut != nil {
-		return bench.WriteTable4CSV(csvOut, rows)
-	}
-	return nil
-}
-
-func runBatching(query, rate int, duration time.Duration, simulate bool, scale float64, progress *os.File) error {
-	res, err := bench.RunBatchingAblation(bench.BatchingConfig{
-		Query:    query,
-		Rate:     rate,
-		Duration: duration,
-		Simulate: simulate,
-		Scale:    scale,
-	}, progress)
-	if err != nil {
-		return err
-	}
-	bench.PrintBatching(os.Stdout, res)
-	if csvOut != nil {
-		return bench.WriteBatchingCSV(csvOut, res)
-	}
-	return nil
-}
-
-func runRecovery(depths []int, rate int, simulate bool, scale float64, progress *os.File) error {
-	points, err := bench.RunRecovery(bench.RecoveryConfig{
-		Depths:   depths,
-		Rate:     rate,
-		Simulate: simulate,
-		Scale:    scale,
-	}, progress)
-	if err != nil {
-		return err
-	}
-	bench.PrintRecovery(os.Stdout, points)
-	if csvOut != nil {
-		return bench.WriteRecoveryCSV(csvOut, points)
-	}
-	return nil
-}
-
-func runScaling(shards []int, clients int, duration time.Duration, scale float64, progress *os.File) error {
-	points, err := bench.RunScaling(bench.ScalingConfig{
-		Shards:   shards,
-		Clients:  clients,
-		Duration: duration,
-		Scale:    scale,
-	}, progress)
-	if err != nil {
-		return err
-	}
-	bench.PrintScaling(os.Stdout, points)
-	if csvOut != nil {
-		return bench.WriteScalingCSV(csvOut, points)
-	}
-	return nil
-}
-
-func runEgress(query, rate int, duration time.Duration, simulate bool, scale float64, progress *os.File) error {
-	res, err := bench.RunEgress(bench.EgressConfig{
-		Query:    query,
-		Rate:     rate,
-		Duration: duration,
-		Simulate: simulate,
-		Scale:    scale,
-	}, progress)
-	if err != nil {
-		return err
-	}
-	bench.PrintEgress(os.Stdout, res)
-	if csvOut != nil {
-		return bench.WriteEgressCSV(csvOut, res)
-	}
-	return nil
-}
-
-func runDurability(query, rate int, duration time.Duration, depths []int, simulate bool, scale float64, progress *os.File) error {
-	res, err := bench.RunDurability(bench.DurabilityConfig{
-		Query:    query,
-		Rate:     rate,
-		Duration: duration,
-		Depths:   depths,
-		Simulate: simulate,
-		Scale:    scale,
-	}, progress)
-	if err != nil {
-		return err
-	}
-	bench.PrintDurability(os.Stdout, res)
-	if csvOut != nil {
-		return bench.WriteDurabilityCSV(csvOut, res)
-	}
-	return nil
-}
-
-func runChaos(query int, engine impeller.EngineMode, progress *os.File) error {
-	cfg := bench.ChaosConfig{Engine: engine}
-	if query != 0 {
-		cfg.Queries = []int{query}
-	}
-	rows, err := bench.RunChaosTable(cfg, progress)
-	if err != nil {
-		return err
-	}
-	bench.PrintChaosTable(os.Stdout, rows)
-	return nil
-}
-
-func runTail(query, rate int, tpc []int, duration time.Duration, simulate bool, scale float64, progress *os.File) error {
-	cfg := bench.TailConfig{
-		Query:        query,
-		Rate:         rate,
-		TasksPerCore: tpc,
-		Duration:     duration,
-		Simulate:     simulate,
-		Scale:        scale,
-	}
-	points, err := bench.RunTail(cfg, progress)
-	if err != nil {
-		return err
-	}
-	bench.PrintTail(os.Stdout, cfg, points)
-	if csvOut != nil {
-		return bench.WriteTailCSV(csvOut, points)
-	}
-	return nil
-}
-
-func runTaskletSmoke(query int, progress *os.File) error {
-	rows, err := bench.RunTaskletSmoke(query, progress)
-	if err != nil {
-		return err
-	}
-	bench.PrintSmoke(os.Stdout, query, rows)
-	return nil
-}
-
-func runRescaleBench(query, rate int, duration time.Duration, simulate bool, scale float64, engine impeller.EngineMode, progress *os.File) error {
-	res, err := bench.RunRescaleBench(bench.RescaleBenchConfig{
-		Query:    query,
-		Rate:     rate,
-		Duration: duration,
-		Simulate: simulate,
-		Scale:    scale,
-		Engine:   engine,
-	}, progress)
-	if err != nil {
-		return err
-	}
-	bench.PrintRescaleBench(os.Stdout, res)
-	if csvOut != nil {
-		return bench.WriteRescaleCSV(csvOut, res)
-	}
-	return nil
 }

@@ -209,28 +209,6 @@ type ClusterConfig struct {
 	Seed uint64
 	// EnableGC runs the garbage collector (paper §3.5).
 	EnableGC bool
-	// SyncCheckpointStore makes checkpoint-store writes charge a
-	// synchronous WAL flush (the paper's Kvrocks configuration);
-	// implied by SimulateLatency.
-	SyncCheckpointStore bool
-	// BatchMaxRecords, BatchMaxBytes, BatchLinger, and BatchWindow tune
-	// the batched dataplane: task appenders coalesce data, change-log,
-	// and control-adjacent appends into group commits sealed at
-	// BatchMaxRecords records or BatchMaxBytes bytes (whichever first),
-	// after BatchLinger of quiet, with at most BatchWindow sealed batches
-	// in flight before submitters block (backpressure). Zero values
-	// select the defaults (64 records, 256 KiB, 1 ms, 4 batches).
-	// BatchMaxRecords: 1 disables coalescing — the unbatched ablation.
-	BatchMaxRecords int
-	BatchMaxBytes   int
-	BatchLinger     time.Duration
-	BatchWindow     int
-	// ReadBatchRecords is the streaming read plane's batch size: how
-	// many records a task's input cursor (and recovery's replay cursors)
-	// pull per log round trip. 0 selects the default (64); 1 degenerates
-	// to per-record reads with readahead disabled — the ablation
-	// baseline.
-	ReadBatchRecords int
 	// Engine selects the task execution engine: EngineGoroutine (one
 	// goroutine per task, the default) or EngineTasklet (cooperative
 	// tasklets on per-core event loops).
@@ -298,7 +276,9 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		WAL:              cfg.WAL,
 	}
 	var coordLat sim.LatencyModel
-	kvCfg := kvstore.Config{SyncWrites: cfg.SyncCheckpointStore}
+	// Under simulated latency checkpoint-store writes charge a
+	// synchronous WAL flush (the paper's Kvrocks configuration).
+	kvCfg := kvstore.Config{SyncWrites: cfg.SimulateLatency}
 	if cfg.SimulateLatency {
 		scale := func(m sim.LatencyModel) sim.LatencyModel {
 			if cfg.LatencyScale == 1 {
@@ -312,7 +292,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 			logCfg.ShardAppendLatency = scale(sim.DefaultLocalPersistLatency(r.Fork()))
 		}
 		coordLat = scale(sim.DefaultKafkaLatency(r.Fork()))
-		kvCfg.SyncWrites = true
 		if cfg.WAL != nil {
 			logCfg.WALFlushLatency = scale(sim.DefaultLocalPersistLatency(r.Fork()))
 			logCfg.WALBandwidth = sharedlog.DefaultWALBandwidth
@@ -361,15 +340,8 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		CoordinatorLatency: coordLat,
 		Faults:             faults,
 		Seed:               cfg.Seed,
-		Batch: core.BatchConfig{
-			MaxRecords: cfg.BatchMaxRecords,
-			MaxBytes:   cfg.BatchMaxBytes,
-			Linger:     cfg.BatchLinger,
-			Window:     cfg.BatchWindow,
-		},
-		ReadBatch:   cfg.ReadBatchRecords,
-		Engine:      cfg.Engine,
-		EngineLoops: cfg.EngineLoops,
+		Engine:             cfg.Engine,
+		EngineLoops:        cfg.EngineLoops,
 	}
 	if cfg.EnableGC {
 		c.env.GC = core.NewGCController(c.log)

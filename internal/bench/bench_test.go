@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,12 +67,11 @@ func TestRunNexmarkSmoke(t *testing.T) {
 	// validate the measurement plumbing.
 	for _, q := range []int{1, 5} {
 		res, err := RunNexmark(RunConfig{
-			Query:      q,
-			Protocol:   impeller.ProgressMarker,
-			Rate:       2000,
-			Duration:   700 * time.Millisecond,
-			Warmup:     100 * time.Millisecond,
-			Generators: 2,
+			Query:    q,
+			Rate:     2000,
+			Duration: 700 * time.Millisecond,
+			Warmup:   100 * time.Millisecond,
+			Cluster:  impeller.ClusterConfig{Protocol: impeller.ProgressMarker, IngressWriters: 2},
 		})
 		if err != nil {
 			t.Fatalf("q%d: %v", q, err)
@@ -94,15 +94,79 @@ func TestRunNexmarkSmoke(t *testing.T) {
 	}
 }
 
+// TestRunNexmarkOffersTheRate pins the generators' pacing: rates that
+// do not divide into whole events per generator tick (3000 events/s on 4
+// generators is 1.5 per 2 ms) must still be offered in full.
+func TestRunNexmarkOffersTheRate(t *testing.T) {
+	for _, c := range []struct{ rate, generators int }{{3000, 4}, {2000, 2}} {
+		cfg := RunConfig{Query: 1, Rate: c.rate, Duration: 500 * time.Millisecond}
+		cfg.Cluster.IngressWriters = c.generators
+		res, err := RunNexmark(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := float64(c.rate) * cfg.Duration.Seconds()
+		if got := float64(res.Sent); got < 0.95*want || got > 1.05*want {
+			t.Fatalf("%d events/s on %d generators for %v: sent %d, want %.0f ± 5%%",
+				c.rate, c.generators, cfg.Duration, res.Sent, want)
+		}
+	}
+}
+
+// TestRunNexmarkPassesClusterThrough pins that RunConfig.Cluster reaches
+// impeller.NewCluster verbatim: a setting the harness has no default
+// for must show in the run.
+func TestRunNexmarkPassesClusterThrough(t *testing.T) {
+	cfg := RunConfig{Query: 1, Rate: 1000, Duration: 300 * time.Millisecond}
+	cfg.Cluster.OrderingInterval = time.Millisecond
+	res, err := RunNexmark(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Log.SequencerCuts == 0 || res.Received == 0 {
+		t.Fatalf("ordering interval set, yet %d sequencer cuts (received %d)", res.Log.SequencerCuts, res.Received)
+	}
+}
+
+// TestPrintFig7Saturation pins the two ways a sweep ends: a curve that
+// crossed the p99 limit reports the last rate under it, one that never
+// did reports a lower bound.
+func TestPrintFig7Saturation(t *testing.T) {
+	point := func(rate int) *RunResult { return &RunResult{Config: RunConfig{Query: 1, Rate: rate}} }
+	series := []*Fig7Series{
+		{Query: 1, Protocol: impeller.ProgressMarker, Points: []*RunResult{point(4000), point(8000)},
+			SaturationRate: 8000},
+		{Query: 1, Protocol: impeller.KafkaTxn, Points: []*RunResult{point(4000), point(8000)},
+			SaturationRate: 4000, Saturated: true},
+	}
+	var out, csv bytes.Buffer
+	PrintFig7(&out, series)
+	if err := WriteFig7CSV(&csv, series); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"progress-marker      saturation throughput: ≥ 8000 (limit not reached) events/s\n",
+		"kafka-txn            saturation throughput: 4000 events/s\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	for _, want := range []string{",≥ 8000 (limit not reached)\n", ",4000\n"} {
+		if !strings.Contains(csv.String(), want) {
+			t.Fatalf("CSV lacks %q:\n%s", want, csv.String())
+		}
+	}
+}
+
 func TestRunNexmarkProtocols(t *testing.T) {
 	for _, proto := range []impeller.Protocol{impeller.KafkaTxn, impeller.AlignedCheckpoint, impeller.Unsafe} {
 		res, err := RunNexmark(RunConfig{
-			Query:      2,
-			Protocol:   proto,
-			Rate:       2000,
-			Duration:   600 * time.Millisecond,
-			Warmup:     100 * time.Millisecond,
-			Generators: 2,
+			Query:    2,
+			Rate:     2000,
+			Duration: 600 * time.Millisecond,
+			Warmup:   100 * time.Millisecond,
+			Cluster:  impeller.ClusterConfig{Protocol: proto, IngressWriters: 2},
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", proto, err)
@@ -114,7 +178,7 @@ func TestRunNexmarkProtocols(t *testing.T) {
 }
 
 func TestRunTable2Smoke(t *testing.T) {
-	rows, err := RunTable2(Table2Config{Rates: []int{200}, Duration: 500 * time.Millisecond})
+	rows, err := RunTable2(Params{Rates: []int{200}, Duration: 500 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +201,8 @@ func TestRunTable2Smoke(t *testing.T) {
 }
 
 func TestRunFig8Smoke(t *testing.T) {
-	points, err := RunFig8(Fig8Config{
-		Query:     2,
-		Rate:      1500,
-		Intervals: []time.Duration{50 * time.Millisecond, 20 * time.Millisecond},
-		Duration:  600 * time.Millisecond,
-	}, nil)
+	points, err := runFig8(Params{Query: 2, Rate: 1500, Duration: 600 * time.Millisecond},
+		[]time.Duration{50 * time.Millisecond, 20 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,18 +215,14 @@ func TestRunFig8Smoke(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintFig8(&buf, 2, points)
+	PrintFig8(&buf, points)
 	if buf.Len() == 0 {
 		t.Fatal("empty figure output")
 	}
 }
 
 func TestRunTable4Smoke(t *testing.T) {
-	rows, err := RunTable4(Table4Config{
-		Rates:       []int{1500},
-		RunFor:      1200 * time.Millisecond,
-		Parallelism: 2,
-	}, nil)
+	rows, err := runTable4(Params{Rates: []int{1500}}, 1200*time.Millisecond, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +246,7 @@ func TestRunTable4Smoke(t *testing.T) {
 }
 
 func TestRunCrossoverSmoke(t *testing.T) {
-	res, err := RunCrossover(CrossoverConfig{
-		Query:    6,
-		Rate:     2000,
-		Duration: 900 * time.Millisecond,
-	}, nil)
+	res, err := RunCrossover(Params{Query: 6, Rate: 2000, Duration: 900 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"impeller"
 	"impeller/internal/chaos"
 )
 
@@ -17,42 +16,26 @@ import (
 // whether any zombie append was fenced, the worst single recovery,
 // and whether the invariant held.
 
-// ChaosConfig configures the chaos sweep.
-type ChaosConfig struct {
-	// Queries are the NEXMark queries with output oracles (default
-	// 1, 11, 12).
-	Queries []int
-	// Protocols are the fault-tolerance protocols (default all three).
-	Protocols []impeller.Protocol
-	// Seeds select the fault schedules (default 7, 21, 42).
-	Seeds []uint64
-	// Engine selects the task execution engine (goroutine or tasklet).
-	Engine impeller.EngineMode
-}
+// The sweep's cells: the NEXMark queries with output oracles, the three
+// exactly-once protocols, and the seeds selecting the fault schedules.
+var (
+	chaosQueries = []int{1, 11, 12}
+	chaosSeeds   = []uint64{7, 21, 42}
+)
 
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if len(c.Queries) == 0 {
-		c.Queries = []int{1, 11, 12}
+// RunChaosTable executes the sweep — over p.Query alone if it is set —
+// on p.Engine, sequentially (each run owns its cluster and its timing;
+// overlapping runs would distort recovery times).
+func RunChaosTable(p Params, progress io.Writer) ([]*chaos.Result, error) {
+	queries := chaosQueries
+	if p.Query != 0 {
+		queries = []int{p.Query}
 	}
-	if len(c.Protocols) == 0 {
-		c.Protocols = []impeller.Protocol{impeller.ProgressMarker, impeller.KafkaTxn, impeller.AlignedCheckpoint}
-	}
-	if len(c.Seeds) == 0 {
-		c.Seeds = []uint64{7, 21, 42}
-	}
-	return c
-}
-
-// RunChaosTable executes the sweep sequentially (each run owns its
-// cluster and its timing; overlapping runs would distort recovery
-// times).
-func RunChaosTable(cfg ChaosConfig, progress io.Writer) ([]*chaos.Result, error) {
-	cfg = cfg.withDefaults()
 	var rows []*chaos.Result
-	for _, seed := range cfg.Seeds {
-		for _, q := range cfg.Queries {
-			for _, proto := range cfg.Protocols {
-				res, err := chaos.Run(chaos.Config{Query: q, Protocol: proto, Seed: seed, Engine: cfg.Engine})
+	for _, seed := range chaosSeeds {
+		for _, q := range queries {
+			for _, proto := range paperProtocols {
+				res, err := chaos.Run(chaos.Config{Query: q, Protocol: proto, Seed: seed, Engine: p.Engine})
 				if err != nil {
 					return rows, err
 				}

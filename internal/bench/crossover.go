@@ -15,53 +15,23 @@ import (
 // and compares aligned checkpoints against progress marking on
 // delivered throughput and tail latency.
 
-// CrossoverConfig configures the state-growth experiment.
-type CrossoverConfig struct {
-	// Query defaults to 6 (per-seller running state grows steadily).
-	Query int
-	// Rate defaults to 12000 events/s.
-	Rate int
-	// Duration defaults to 20 s — long enough for checkpoint size to
-	// dominate the aligned protocol.
-	Duration time.Duration
-	Simulate bool
-	Scale    float64
-}
-
-func (c CrossoverConfig) withDefaults() CrossoverConfig {
-	if c.Query == 0 {
-		c.Query = 6
-	}
-	if c.Rate == 0 {
-		c.Rate = 12000
-	}
-	if c.Duration <= 0 {
-		c.Duration = 20 * time.Second
-	}
-	return c
-}
-
 // CrossoverResult holds both protocols' long-run measurements.
 type CrossoverResult struct {
-	Config  CrossoverConfig
 	Marker  *RunResult
 	Aligned *RunResult
 }
 
-// RunCrossover measures the long-run comparison.
-func RunCrossover(cfg CrossoverConfig, progress io.Writer) (*CrossoverResult, error) {
-	cfg = cfg.withDefaults()
-	out := &CrossoverResult{Config: cfg}
+// RunCrossover measures the long-run comparison on p.Query (default 6:
+// per-seller running state grows steadily) at p.Rate (default 12000
+// events/s) for p.Duration (default 20 s — long enough for checkpoint
+// size to dominate the aligned protocol).
+func RunCrossover(p Params, progress io.Writer) (*CrossoverResult, error) {
+	p = p.or(6, 12000, 20*time.Second)
+	out := &CrossoverResult{}
 	for _, proto := range []impeller.Protocol{impeller.ProgressMarker, impeller.AlignedCheckpoint} {
-		res, err := RunNexmark(RunConfig{
-			Query:           cfg.Query,
-			Protocol:        proto,
-			Rate:            cfg.Rate,
-			Duration:        cfg.Duration,
-			Warmup:          cfg.Duration / 2,
-			SimulateLatency: cfg.Simulate,
-			LatencyScale:    cfg.Scale,
-		})
+		cfg := p.run(proto)
+		cfg.Warmup = p.Duration / 2
+		res, err := RunNexmark(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -80,11 +50,11 @@ func RunCrossover(cfg CrossoverConfig, progress io.Writer) (*CrossoverResult, er
 // PrintCrossover renders the comparison.
 func PrintCrossover(w io.Writer, r *CrossoverResult) {
 	fmt.Fprintf(w, "Checkpointing crossover (paper §5.3.3): Q%d @ %d events/s for %v\n",
-		r.Config.Query, r.Config.Rate, r.Config.Duration)
+		r.Marker.Config.Query, r.Marker.Config.Rate, r.Marker.Config.Duration)
 	fmt.Fprintf(w, "%-20s %-12s %-12s %-12s\n", "protocol", "p50", "p99", "results")
 	for _, p := range []*RunResult{r.Marker, r.Aligned} {
 		fmt.Fprintf(w, "%-20s %-12v %-12v %-12d\n",
-			p.Config.Protocol, p.P50.Round(time.Millisecond), p.P99.Round(time.Millisecond), p.Received)
+			p.Config.Cluster.Protocol, p.P50.Round(time.Millisecond), p.P99.Round(time.Millisecond), p.Received)
 	}
 	if r.Aligned.Received > 0 {
 		fmt.Fprintf(w, "progress marking delivered %.1fx the results of aligned checkpointing\n",

@@ -86,6 +86,7 @@ func WriteFig7CSV(w io.Writer, series []*Fig7Series) error {
 				strconv.FormatUint(p.Log.RecoveredRecords, 10),
 				strconv.FormatUint(p.Log.WALTruncations, 10),
 				strconv.FormatUint(p.AssignEpochs, 10),
+				s.Saturation(),
 			})
 		}
 	}
@@ -98,16 +99,16 @@ func WriteFig7CSV(w io.Writer, series []*Fig7Series) error {
 			"cursor_prefetch_hits", "cursor_prefetch_misses", "cursor_invalidations",
 			"delivery_attempts", "delivery_redelivered", "delivery_permanent_failures", "delivery_dead_lettered",
 			"wal_bytes", "wal_flushes", "recovered_records", "wal_truncations",
-			"assign_epochs"},
+			"assign_epochs", "saturation_eps"},
 		out)
 }
 
 // WriteFig8CSV exports the commit-interval sweep.
-func WriteFig8CSV(w io.Writer, q int, points []Fig8Point) error {
+func WriteFig8CSV(w io.Writer, points []Fig8Point) error {
 	var out [][]string
 	for _, p := range points {
 		out = append(out, []string{
-			strconv.Itoa(q),
+			strconv.Itoa(p.Marker.Config.Query),
 			us(p.Interval),
 			us(p.Marker.P50), us(p.Marker.P99),
 			us(p.Txn.P50), us(p.Txn.P99),
@@ -118,7 +119,7 @@ func WriteFig8CSV(w io.Writer, q int, points []Fig8Point) error {
 		out)
 }
 
-// WriteTable4CSV exports the recovery experiment.
+// WriteTable4CSV exports Table 4 rows.
 func WriteTable4CSV(w io.Writer, rows []Table4Row) error {
 	var out [][]string
 	for _, r := range rows {
@@ -134,29 +135,6 @@ func WriteTable4CSV(w io.Writer, rows []Table4Row) error {
 		out)
 }
 
-// WriteRecoveryCSV exports the streaming-read-plane recovery experiment
-// (-exp recovery): one row per (depth, read-mode) point.
-func WriteRecoveryCSV(w io.Writer, points []RecoveryPoint) error {
-	var out [][]string
-	for _, p := range points {
-		out = append(out, []string{
-			strconv.Itoa(p.Depth),
-			strconv.FormatUint(p.ChangeDepth, 10),
-			p.Mode,
-			strconv.Itoa(p.ReadBatch),
-			strconv.FormatUint(p.RoundTrips, 10),
-			strconv.FormatUint(p.ReplayRecords, 10),
-			strconv.FormatUint(p.Replayed, 10),
-			us(p.Recovery),
-			us(p.TTFO),
-		})
-	}
-	return writeCSV(w,
-		[]string{"depth", "change_records", "mode", "read_batch", "replay_roundtrips",
-			"replay_records", "replayed_changes", "recovery_us", "ttfo_us"},
-		out)
-}
-
 // WriteDurabilityCSV exports the durability experiment, distinguished
 // by the phase column: overhead rows leave the depth columns empty and
 // recovery rows leave the latency columns empty.
@@ -164,11 +142,8 @@ func WriteDurabilityCSV(w io.Writer, res *DurabilityResult) error {
 	u64 := func(v uint64) string { return strconv.FormatUint(v, 10) }
 	var out [][]string
 	for _, p := range []*RunResult{res.Off, res.On} {
-		if p == nil {
-			continue
-		}
 		out = append(out, []string{
-			"overhead", strconv.FormatBool(p.Config.Durable),
+			"overhead", strconv.FormatBool(p.Config.Cluster.WAL != nil),
 			strconv.Itoa(p.Config.Query), strconv.Itoa(p.Config.Rate),
 			us(p.P50), us(p.P99), us(p.Mean),
 			u64(p.Sent), u64(p.Received),
@@ -205,13 +180,13 @@ func WriteRescaleCSV(w io.Writer, r *RescaleBenchResult) error {
 		out = append(out, []string{
 			"bucket", strconv.FormatInt(b.Start.Milliseconds(), 10),
 			strconv.Itoa(b.Slots), u64(b.Epoch),
-			u64(b.Delivered), fmt.Sprintf("%.1f", b.Goodput(r.Config.Bucket)),
+			u64(b.Delivered), fmt.Sprintf("%.1f", b.Goodput()),
 			"", "", "", "", "", "",
 		})
 	}
 	out = append(out, []string{
 		"summary", strconv.FormatInt(r.StepAt.Milliseconds(), 10),
-		strconv.Itoa(2 * r.Config.Parallelism), u64(r.Epoch),
+		strconv.Itoa(2 * rescaleSlots), u64(r.Epoch),
 		u64(r.Delivered), "",
 		us(r.RescaleWall),
 		fmt.Sprintf("%.1f", r.SteadyBefore), fmt.Sprintf("%.1f", r.SteadyAfter),

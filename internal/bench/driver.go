@@ -4,103 +4,126 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"impeller"
 	"impeller/internal/core"
 	"impeller/internal/nexmark"
 	"impeller/internal/sharedlog"
-	"impeller/internal/wal"
 )
 
+// Params are the settings the experiments share, one field per
+// impeller-bench flag; every experiment is a function of a Params, reads
+// the fields that apply to it and replaces zero values by its own
+// defaults.
+type Params struct {
+	// Query is the NEXMark query (-query).
+	Query int
+	// Rate is the offered load in events/s of a single-rate experiment
+	// (-rate); Rates are the points of a sweep (-rates).
+	Rate  int
+	Rates []int
+	// Duration is the measurement time per point (-duration).
+	Duration time.Duration
+	// Simulate charges calibrated network/storage latencies
+	// (-simulate), scaled by Scale (-scale).
+	Simulate bool
+	Scale    float64
+	// Engine is the task execution engine (-engine).
+	Engine impeller.EngineMode
+	// Depths (-depths), Shards (-shards), Clients (-clients) and
+	// TasksPerCore (-tpc) are the sweep axes of -exp durability, scaling
+	// and tail.
+	Depths       []int
+	Shards       []int
+	Clients      int
+	TasksPerCore []int
+}
+
+// or fills p's unset query, rate and duration with an experiment's
+// defaults.
+func (p Params) or(query, rate int, duration time.Duration) Params {
+	if p.Query == 0 {
+		p.Query = query
+	}
+	if p.Rate <= 0 {
+		p.Rate = rate
+	}
+	if p.Duration <= 0 {
+		p.Duration = duration
+	}
+	return p
+}
+
+// cluster is the cluster p describes: its latency model and engine
+// under the given protocol, everything else at the defaults.
+func (p Params) cluster(proto impeller.Protocol) impeller.ClusterConfig {
+	return impeller.ClusterConfig{
+		Protocol:        proto,
+		SimulateLatency: p.Simulate,
+		LatencyScale:    p.Scale,
+		Engine:          p.Engine,
+	}
+}
+
+// run is one measurement of p's query at p's rate on p.cluster(proto).
+func (p Params) run(proto impeller.Protocol) RunConfig {
+	return RunConfig{Query: p.Query, Rate: p.Rate, Duration: p.Duration, Cluster: p.cluster(proto)}
+}
+
 // RunConfig configures one NEXMark measurement run (one point of
-// Figure 7/8/9).
+// Figure 7/8/9): the workload, and the cluster it runs on.
 type RunConfig struct {
 	// Query selects the NEXMark query (1–8).
 	Query int
-	// Protocol selects the fault-tolerance protocol.
-	Protocol impeller.Protocol
 	// Rate is the offered input load in events/s.
 	Rate int
-	// Duration is how long the generators run.
+	// Duration is how long the generators run (default 3 s).
 	Duration time.Duration
-	// Warmup discards latency samples recorded before it elapses.
+	// Warmup discards latency samples recorded before it elapses
+	// (default Duration/4).
 	Warmup time.Duration
-	// CommitInterval (default 100 ms) and SnapshotInterval (default 0)
-	// follow the paper's settings.
-	CommitInterval   time.Duration
-	SnapshotInterval time.Duration
-	// Parallelism is the per-stage task count (default 2).
-	Parallelism int
-	// Generators is the number of input generators (paper: 4).
-	Generators int
-	// FlushInterval is the generator batch flush (paper: 10 ms for
-	// Q1–Q2, 100 ms for Q3–Q8; 0 selects by query).
-	FlushInterval time.Duration
-	// SimulateLatency charges calibrated log/coordinator latencies.
-	SimulateLatency bool
-	// LatencyScale scales simulated latencies (sub-real-time runs).
-	LatencyScale float64
-	// Seed fixes the generator and latency randomness.
-	Seed uint64
-	// BatchMaxRecords, BatchMaxBytes, BatchLinger, and BatchWindow tune
-	// the batched dataplane; zero values select the engine defaults.
-	// BatchMaxRecords: 1 disables coalescing (the ablation baseline).
-	BatchMaxRecords int
-	BatchMaxBytes   int
-	BatchLinger     time.Duration
-	BatchWindow     int
-	// ReadBatchRecords tunes the streaming read plane; zero selects the
-	// engine default (64 records per cursor fetch). 1 degenerates to
-	// per-record reads with readahead disabled (the ablation baseline).
-	ReadBatchRecords int
-	// OrderingInterval runs the log in Scalog-style sequencer mode with
-	// global cuts at that interval (0 keeps immediate ordering);
-	// OrderingShards is the number of local sequencer shards appends are
-	// routed across in that mode (0 means 1).
-	OrderingInterval time.Duration
-	OrderingShards   int
 	// Egress routes output through the transactional delivery sink to
 	// an in-process consumer and measures latency at the consumer's
 	// acknowledgment instead of at emission — the delivered-record
 	// latency, which includes the commit wait (records only become
 	// deliverable once their progress marker lands).
 	Egress bool
-	// Engine selects the task execution engine (goroutine or tasklet).
-	Engine impeller.EngineMode
-	// Durable persists the shared log to a checksummed WAL device
-	// (internal/wal): every committed cut is appended and flushed before
-	// the append is acknowledged. Under SimulateLatency the flush is
-	// charged at the calibrated device latency — the append-overhead
-	// axis of -exp durability.
-	Durable bool
+	// Cluster is passed to impeller.NewCluster verbatim, after the
+	// harness's defaults replace its zero values: 100 ms commits, 2 tasks
+	// per stage, 4 generators (IngressWriters) flushing every 10 ms for
+	// Q1–Q2 and 100 ms for Q3–Q8 (the paper's settings), seed 42. Set
+	// Cluster.WAL to a fresh device for a durable log.
+	Cluster impeller.ClusterConfig
 }
 
 func (c RunConfig) withDefaults() RunConfig {
-	if c.CommitInterval <= 0 {
-		c.CommitInterval = 100 * time.Millisecond
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 2
-	}
-	if c.Generators <= 0 {
-		c.Generators = 4
-	}
 	if c.Duration <= 0 {
 		c.Duration = 3 * time.Second
 	}
 	if c.Warmup <= 0 {
 		c.Warmup = c.Duration / 4
 	}
-	if c.FlushInterval <= 0 {
+	cl := &c.Cluster
+	if cl.CommitInterval <= 0 {
+		cl.CommitInterval = 100 * time.Millisecond
+	}
+	if cl.DefaultParallelism <= 0 {
+		cl.DefaultParallelism = 2
+	}
+	if cl.IngressWriters <= 0 {
+		cl.IngressWriters = 4
+	}
+	if cl.IngressFlushInterval <= 0 {
 		if c.Query <= 2 {
-			c.FlushInterval = 10 * time.Millisecond
+			cl.IngressFlushInterval = 10 * time.Millisecond
 		} else {
-			c.FlushInterval = 100 * time.Millisecond
+			cl.IngressFlushInterval = 100 * time.Millisecond
 		}
 	}
-	if c.Seed == 0 {
-		c.Seed = 42
+	if cl.Seed == 0 {
+		cl.Seed = 42
 	}
 	return c
 }
@@ -133,7 +156,7 @@ type RunResult struct {
 // String renders the point like the paper's figures report it.
 func (r *RunResult) String() string {
 	return fmt.Sprintf("q%d %-18s rate=%-7d p50=%-10v p99=%-10v recv=%d",
-		r.Config.Query, r.Config.Protocol, r.Config.Rate,
+		r.Config.Query, r.Config.Cluster.Protocol, r.Config.Rate,
 		r.P50.Round(100*time.Microsecond), r.P99.Round(100*time.Microsecond), r.Received)
 }
 
@@ -144,29 +167,7 @@ func (r *RunResult) String() string {
 // and its emission time from the output operator").
 func RunNexmark(cfg RunConfig) (*RunResult, error) {
 	cfg = cfg.withDefaults()
-	clusterCfg := impeller.ClusterConfig{
-		Protocol:             cfg.Protocol,
-		CommitInterval:       cfg.CommitInterval,
-		SnapshotInterval:     cfg.SnapshotInterval,
-		DefaultParallelism:   cfg.Parallelism,
-		IngressWriters:       cfg.Generators,
-		IngressFlushInterval: cfg.FlushInterval,
-		SimulateLatency:      cfg.SimulateLatency,
-		LatencyScale:         cfg.LatencyScale,
-		Seed:                 cfg.Seed,
-		BatchMaxRecords:      cfg.BatchMaxRecords,
-		BatchMaxBytes:        cfg.BatchMaxBytes,
-		BatchLinger:          cfg.BatchLinger,
-		BatchWindow:          cfg.BatchWindow,
-		ReadBatchRecords:     cfg.ReadBatchRecords,
-		OrderingInterval:     cfg.OrderingInterval,
-		OrderingShards:       cfg.OrderingShards,
-		Engine:               cfg.Engine,
-	}
-	if cfg.Durable {
-		clusterCfg.WAL = wal.NewDevice()
-	}
-	cluster := impeller.NewCluster(clusterCfg)
+	cluster := impeller.NewCluster(cfg.Cluster)
 	defer cluster.Close()
 
 	topo, err := nexmark.BuildOpts(cfg.Query, nexmark.Options{PerUpdateWindows: true})
@@ -203,37 +204,38 @@ func RunNexmark(cfg RunConfig) (*RunResult, error) {
 		})
 	}
 
-	// Generators: each paces Rate/Generators events/s in small ticks.
+	// Generators: each owes its share of Rate (the remainder goes to the
+	// first ones) times the elapsed time, and every 2 ms tick sends what
+	// it owes and has not sent — so neither integer division nor a
+	// dropped tick loses offered load.
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	var sent uint64
-	var sentMu sync.Mutex
-	perGen := cfg.Rate / cfg.Generators
-	if perGen == 0 {
-		perGen = 1
-	}
-	for g := 0; g < cfg.Generators; g++ {
+	var sent atomic.Uint64
+	gens := cfg.Cluster.IngressWriters
+	for g := 0; g < gens; g++ {
+		perGen := cfg.Rate / gens
+		if g < cfg.Rate%gens {
+			perGen++
+		}
 		wg.Add(1)
-		go func(g int) {
+		go func(g, perGen int) {
 			defer wg.Done()
-			gen := nexmark.NewGenerator(cfg.Seed + uint64(g))
-			tick := 2 * time.Millisecond
-			perTick := perGen * int(tick) / int(time.Second)
-			if perTick == 0 {
-				perTick = 1
-				tick = time.Second / time.Duration(perGen)
-			}
-			ticker := time.NewTicker(tick)
+			gen := nexmark.NewGenerator(cfg.Cluster.Seed + uint64(g))
+			ticker := time.NewTicker(2 * time.Millisecond)
 			defer ticker.Stop()
-			deadline := start.Add(cfg.Duration)
 			n := uint64(0)
-			for time.Now().Before(deadline) {
+			defer func() { sent.Add(n) }()
+			for elapsed := time.Duration(0); elapsed < cfg.Duration; {
 				select {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
 				}
-				for i := 0; i < perTick; i++ {
+				if elapsed = time.Since(start); elapsed > cfg.Duration {
+					elapsed = cfg.Duration
+				}
+				owed := uint64(perGen) * uint64(elapsed) / uint64(time.Second)
+				for n < owed {
 					now := time.Now().UnixMicro()
 					ev := gen.Next(now)
 					n++
@@ -243,14 +245,11 @@ func RunNexmark(cfg RunConfig) (*RunResult, error) {
 					}
 				}
 			}
-			sentMu.Lock()
-			sent += n
-			sentMu.Unlock()
-		}(g)
+		}(g, perGen)
 	}
 	wg.Wait()
 	// Drain: give the pipeline a few commit intervals to flush results.
-	drain := 5 * cfg.CommitInterval
+	drain := 5 * cfg.Cluster.CommitInterval
 	if drain < 300*time.Millisecond {
 		drain = 300 * time.Millisecond
 	}
@@ -259,7 +258,7 @@ func RunNexmark(cfg RunConfig) (*RunResult, error) {
 
 	res := &RunResult{
 		Config:  cfg,
-		Sent:    sent,
+		Sent:    sent.Load(),
 		Metrics: app.Metrics(),
 		Elapsed: time.Since(start),
 	}

@@ -27,47 +27,9 @@ import (
 //     replay is CPU-bound and linear in WAL bytes, so the MB/s column
 //     should be flat and the wall time proportional to depth.
 
-// DurabilityConfig configures both phases.
-type DurabilityConfig struct {
-	// Query and Rate drive the append-overhead phase (default Q1 at
-	// 3000 events/s, matching the egress latency phase).
-	Query int
-	Rate  int
-	// Duration is the overhead phase's measurement window.
-	Duration time.Duration
-	// Protocol for the overhead phase (default ProgressMarker).
-	Protocol impeller.Protocol
-	// Depths are the recovery phase's target log lengths in records.
-	Depths []int
-	// Payload is the synthetic record size for the recovery phase
-	// (default 128 bytes, the ballpark of an encoded NEXMark event).
-	Payload int
-	// Simulate / Scale mirror the other experiments.
-	Simulate bool
-	Scale    float64
-}
-
-func (c DurabilityConfig) withDefaults() DurabilityConfig {
-	if c.Query == 0 {
-		c.Query = 1
-	}
-	if c.Rate <= 0 {
-		c.Rate = 3000
-	}
-	if c.Duration <= 0 {
-		c.Duration = 3 * time.Second
-	}
-	if c.Protocol == 0 {
-		c.Protocol = impeller.ProgressMarker
-	}
-	if len(c.Depths) == 0 {
-		c.Depths = []int{2000, 10000, 50000}
-	}
-	if c.Payload <= 0 {
-		c.Payload = 128
-	}
-	return c
-}
+// durabilityPayload is the recovery phase's synthetic record size: the
+// ballpark of an encoded NEXMark event.
+const durabilityPayload = 128
 
 // DurabilityRecoveryPoint is one depth point of the recovery phase.
 type DurabilityRecoveryPoint struct {
@@ -88,25 +50,26 @@ type DurabilityRecoveryPoint struct {
 // DurabilityResult is the experiment outcome: the off/on overhead pair
 // and one recovery point per depth.
 type DurabilityResult struct {
-	Config   DurabilityConfig
 	Off, On  *RunResult
 	Recovery []DurabilityRecoveryPoint
 }
 
-// RunDurability executes both phases.
-func RunDurability(cfg DurabilityConfig, progress io.Writer) (*DurabilityResult, error) {
-	cfg = cfg.withDefaults()
-	res := &DurabilityResult{Config: cfg}
+// RunDurability executes both phases: the overhead pair under progress
+// markers on p.Query at p.Rate (default Q1 at 3000 events/s, matching
+// the egress latency phase), then a recovery per log length in
+// p.Depths (default 2000, 10000 and 50000 records).
+func RunDurability(p Params, progress io.Writer) (*DurabilityResult, error) {
+	p = p.or(1, 3000, 0)
+	if len(p.Depths) == 0 {
+		p.Depths = []int{2000, 10000, 50000}
+	}
+	res := &DurabilityResult{}
 	for _, durable := range []bool{false, true} {
-		point, err := RunNexmark(RunConfig{
-			Query:           cfg.Query,
-			Protocol:        cfg.Protocol,
-			Rate:            cfg.Rate,
-			Duration:        cfg.Duration,
-			SimulateLatency: cfg.Simulate,
-			LatencyScale:    cfg.Scale,
-			Durable:         durable,
-		})
+		cfg := p.run(impeller.ProgressMarker)
+		if durable {
+			cfg.Cluster.WAL = wal.NewDevice()
+		}
+		point, err := RunNexmark(cfg)
 		if err != nil {
 			return res, err
 		}
@@ -119,8 +82,8 @@ func RunDurability(cfg DurabilityConfig, progress io.Writer) (*DurabilityResult,
 			res.Off = point
 		}
 	}
-	for _, depth := range cfg.Depths {
-		p, err := measureDurableRecovery(depth, cfg.Payload)
+	for _, depth := range p.Depths {
+		p, err := measureDurableRecovery(depth)
 		if err != nil {
 			return res, err
 		}
@@ -137,10 +100,10 @@ func RunDurability(cfg DurabilityConfig, progress io.Writer) (*DurabilityResult,
 // metadata op every 64 — the control-plane/data-plane mix a real run
 // journals), closes it as a power failure would, and times a full
 // Recover from the device.
-func measureDurableRecovery(depth, payload int) (*DurabilityRecoveryPoint, error) {
+func measureDurableRecovery(depth int) (*DurabilityRecoveryPoint, error) {
 	dev := wal.NewDevice()
 	l := sharedlog.Open(sharedlog.Config{WAL: dev})
-	buf := make([]byte, payload)
+	buf := make([]byte, durabilityPayload)
 	for i := range buf {
 		buf[i] = byte(i)
 	}
@@ -182,17 +145,14 @@ func measureDurableRecovery(depth, payload int) (*DurabilityRecoveryPoint, error
 // PrintDurability renders both phases.
 func PrintDurability(w io.Writer, res *DurabilityResult) {
 	fmt.Fprintf(w, "Durability: WAL append overhead, q%d at %d events/s (ack-after-durable vs in-memory)\n",
-		res.Config.Query, res.Config.Rate)
+		res.Off.Config.Query, res.Off.Config.Rate)
 	fmt.Fprintln(w, "wal    p50         p99         mean        recv     wal-bytes  flushes")
 	for _, p := range []*RunResult{res.Off, res.On} {
-		if p == nil {
-			continue
-		}
 		fmt.Fprintf(w, "%-6v %-11v %-11v %-11v %-8d %-10d %d\n",
-			p.Config.Durable, p.P50.Round(100*time.Microsecond), p.P99.Round(100*time.Microsecond),
+			p.Config.Cluster.WAL != nil, p.P50.Round(100*time.Microsecond), p.P99.Round(100*time.Microsecond),
 			p.Mean.Round(100*time.Microsecond), p.Received, p.Log.WALBytes, p.Log.WALFlushes)
 	}
-	if res.Off != nil && res.On != nil && res.Off.P99 > 0 {
+	if res.Off.P99 > 0 {
 		fmt.Fprintf(w, "     overhead: p50 %+.1f%%  p99 %+.1f%%\n",
 			100*(float64(res.On.P50)/float64(res.Off.P50)-1),
 			100*(float64(res.On.P99)/float64(res.Off.P99)-1))

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"impeller"
 	"impeller/internal/chaos"
 )
 
@@ -26,65 +25,26 @@ import (
 //     record acknowledged, and whether the oracle still verified
 //     exactly-once at the consumer.
 
-// EgressConfig configures the egress experiment.
-type EgressConfig struct {
-	// Query is the NEXMark query (default 1; must be 1, 11, or 12 so
-	// the chaos phase has an oracle).
-	Query int
-	// Protocols are the fault-tolerance protocols (default all three).
-	Protocols []impeller.Protocol
-	// Rate is the offered load for the latency phase (default 3000).
-	Rate int
-	// Duration is the latency phase's measurement window.
-	Duration time.Duration
-	// Seeds select the chaos phase's fault schedules (default 7, 21).
-	Seeds []uint64
-	// Simulate / Scale mirror the other experiments.
-	Simulate bool
-	Scale    float64
-}
-
-func (c EgressConfig) withDefaults() EgressConfig {
-	if c.Query == 0 {
-		c.Query = 1
-	}
-	if len(c.Protocols) == 0 {
-		c.Protocols = []impeller.Protocol{impeller.ProgressMarker, impeller.KafkaTxn, impeller.AlignedCheckpoint}
-	}
-	if c.Rate <= 0 {
-		c.Rate = 3000
-	}
-	if c.Duration <= 0 {
-		c.Duration = 3 * time.Second
-	}
-	if len(c.Seeds) == 0 {
-		c.Seeds = []uint64{7, 21}
-	}
-	return c
-}
+// egressSeeds select the chaos phase's fault schedules.
+var egressSeeds = []uint64{7, 21}
 
 // EgressResult is the experiment's outcome: one latency point per
 // protocol and one chaos row per (protocol, seed).
 type EgressResult struct {
-	Config  EgressConfig
 	Latency []*RunResult
 	Chaos   []*chaos.Result
 }
 
-// RunEgress executes both phases sequentially.
-func RunEgress(cfg EgressConfig, progress io.Writer) (*EgressResult, error) {
-	cfg = cfg.withDefaults()
-	res := &EgressResult{Config: cfg}
-	for _, proto := range cfg.Protocols {
-		point, err := RunNexmark(RunConfig{
-			Query:           cfg.Query,
-			Protocol:        proto,
-			Rate:            cfg.Rate,
-			Duration:        cfg.Duration,
-			SimulateLatency: cfg.Simulate,
-			LatencyScale:    cfg.Scale,
-			Egress:          true,
-		})
+// RunEgress executes both phases sequentially on p.Query (default 1;
+// must be 1, 11, or 12 so the chaos phase has an oracle), the latency
+// phase at p.Rate (default 3000 events/s).
+func RunEgress(p Params, progress io.Writer) (*EgressResult, error) {
+	p = p.or(1, 3000, 0)
+	res := &EgressResult{}
+	for _, proto := range paperProtocols {
+		cfg := p.run(proto)
+		cfg.Egress = true
+		point, err := RunNexmark(cfg)
 		if err != nil {
 			return res, err
 		}
@@ -93,9 +53,9 @@ func RunEgress(cfg EgressConfig, progress io.Writer) (*EgressResult, error) {
 		}
 		res.Latency = append(res.Latency, point)
 	}
-	for _, proto := range cfg.Protocols {
-		for _, seed := range cfg.Seeds {
-			row, err := chaos.Run(chaos.Config{Query: cfg.Query, Protocol: proto, Seed: seed})
+	for _, proto := range paperProtocols {
+		for _, seed := range egressSeeds {
+			row, err := chaos.Run(chaos.Config{Query: p.Query, Protocol: proto, Seed: seed, Engine: p.Engine})
 			if err != nil {
 				return res, err
 			}
@@ -110,12 +70,13 @@ func RunEgress(cfg EgressConfig, progress io.Writer) (*EgressResult, error) {
 
 // PrintEgress renders both phases.
 func PrintEgress(w io.Writer, res *EgressResult) {
-	fmt.Fprintf(w, "Egress: delivered-record latency, q%d at %d events/s (consumer-ack measurement point)\n", res.Config.Query, res.Config.Rate)
+	fmt.Fprintf(w, "Egress: delivered-record latency, q%d at %d events/s (consumer-ack measurement point)\n",
+		res.Latency[0].Config.Query, res.Latency[0].Config.Rate)
 	fmt.Fprintln(w, "protocol            p50         p99         delivered  attempts  redelivered  frontier-persists")
 	for _, p := range res.Latency {
 		d := p.Delivery
 		fmt.Fprintf(w, "%-19s %-11v %-11v %-10d %-9d %-12d %d\n",
-			p.Config.Protocol, p.P50.Round(100*time.Microsecond), p.P99.Round(100*time.Microsecond),
+			p.Config.Cluster.Protocol, p.P50.Round(100*time.Microsecond), p.P99.Round(100*time.Microsecond),
 			d.Delivered, d.Attempts, d.Redelivered, d.FrontierPersists)
 	}
 	fmt.Fprintln(w)
@@ -143,7 +104,7 @@ func WriteEgressCSV(w io.Writer, res *EgressResult) error {
 	for _, p := range res.Latency {
 		d := p.Delivery
 		out = append(out, []string{
-			"latency", strconv.Itoa(p.Config.Query), p.Config.Protocol.String(), strconv.Itoa(p.Config.Rate), "",
+			"latency", strconv.Itoa(p.Config.Query), p.Config.Cluster.Protocol.String(), strconv.Itoa(p.Config.Rate), "",
 			us(p.P50), us(p.P99), us(p.Mean),
 			u64(d.Delivered), u64(d.Attempts), u64(d.Redelivered), u64(d.TransientErrors),
 			u64(d.PermanentFailures), u64(d.DeadLettered), u64(d.FrontierPersists),

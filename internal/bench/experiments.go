@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"impeller"
@@ -14,46 +15,19 @@ import (
 // marking, the Kafka Streams transaction protocol, and aligned
 // checkpoints.
 
-// Fig7Config configures one query's sweep.
-type Fig7Config struct {
-	Query     int
-	Rates     []int // events/s; 0-length selects a per-query default
-	Protocols []impeller.Protocol
-	Duration  time.Duration
-	// P99Limit stops the sweep for a protocol once exceeded (the paper
-	// uses 60 ms for Q1–Q2 and 1 s for Q3–Q8).
-	P99Limit time.Duration
-	Simulate bool
-	Scale    float64
-	// Engine selects the task execution engine (goroutine or tasklet).
-	Engine impeller.EngineMode
-}
+// paperProtocols are the three exactly-once protocols the paper
+// compares; every per-protocol experiment visits them in this order.
+var paperProtocols = []impeller.Protocol{impeller.ProgressMarker, impeller.KafkaTxn, impeller.AlignedCheckpoint}
 
-func (c Fig7Config) withDefaults() Fig7Config {
-	if len(c.Rates) == 0 {
-		if c.Query <= 2 {
-			c.Rates = []int{4000, 8000, 16000, 24000, 32000}
-		} else {
-			c.Rates = []int{2000, 4000, 8000, 12000, 16000}
-		}
+// p99Limit is where a protocol's sweep stops. The paper uses 60 ms for
+// Q1–Q2 against its ~15 ms stateless latency floor and 1 s for Q3–Q8;
+// this harness's floor is ~30 ms (generator batch + two log hops), so
+// the stateless limit scales proportionally.
+func p99Limit(query int) time.Duration {
+	if query <= 2 {
+		return 120 * time.Millisecond
 	}
-	if len(c.Protocols) == 0 {
-		c.Protocols = []impeller.Protocol{impeller.ProgressMarker, impeller.KafkaTxn, impeller.AlignedCheckpoint}
-	}
-	if c.Duration <= 0 {
-		c.Duration = 3 * time.Second
-	}
-	if c.P99Limit <= 0 {
-		if c.Query <= 2 {
-			// The paper uses 60 ms against its ~15 ms stateless latency
-			// floor; this harness's floor is ~30 ms (generator batch +
-			// two log hops), so the limit scales proportionally.
-			c.P99Limit = 120 * time.Millisecond
-		} else {
-			c.P99Limit = time.Second
-		}
-	}
-	return c
+	return time.Second
 }
 
 // Fig7Series is one protocol's latency curve for one query.
@@ -61,28 +35,43 @@ type Fig7Series struct {
 	Query    int
 	Protocol impeller.Protocol
 	Points   []*RunResult
-	// SaturationRate is the highest offered rate whose p99 stayed
-	// under the limit.
+	// SaturationRate is the highest offered rate whose p99 stayed under
+	// the limit; Saturated reports whether some rate crossed it — if
+	// none did, the saturation point lies at or above SaturationRate.
 	SaturationRate int
+	Saturated      bool
 }
 
-// RunFig7 sweeps one query across rates for each protocol.
-func RunFig7(cfg Fig7Config, progress io.Writer) ([]*Fig7Series, error) {
-	cfg = cfg.withDefaults()
+// Saturation renders the series' saturation throughput in events/s.
+func (s *Fig7Series) Saturation() string {
+	if !s.Saturated {
+		return fmt.Sprintf("≥ %d (limit not reached)", s.SaturationRate)
+	}
+	return strconv.Itoa(s.SaturationRate)
+}
+
+// RunFig7 sweeps p.Query across p.Rates (default: five rates by query
+// class) for each of the paper's three protocols.
+func RunFig7(p Params, progress io.Writer) ([]*Fig7Series, error) {
+	return runFig7(p, paperProtocols, progress)
+}
+
+func runFig7(p Params, protocols []impeller.Protocol, progress io.Writer) ([]*Fig7Series, error) {
+	if len(p.Rates) == 0 {
+		if p.Query <= 2 {
+			p.Rates = []int{4000, 8000, 16000, 24000, 32000}
+		} else {
+			p.Rates = []int{2000, 4000, 8000, 12000, 16000}
+		}
+	}
 	var out []*Fig7Series
-	for _, proto := range cfg.Protocols {
-		series := &Fig7Series{Query: cfg.Query, Protocol: proto}
-		for _, rate := range cfg.Rates {
-			res, err := RunNexmark(RunConfig{
-				Query:            cfg.Query,
-				Protocol:         proto,
-				Rate:             rate,
-				Duration:         cfg.Duration,
-				SimulateLatency:  cfg.Simulate,
-				LatencyScale:     cfg.Scale,
-				SnapshotInterval: 2 * time.Second,
-				Engine:           cfg.Engine,
-			})
+	for _, proto := range protocols {
+		series := &Fig7Series{Query: p.Query, Protocol: proto}
+		for _, rate := range p.Rates {
+			cfg := p.run(proto)
+			cfg.Rate = rate
+			cfg.Cluster.SnapshotInterval = 2 * time.Second
+			res, err := RunNexmark(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -90,8 +79,9 @@ func RunFig7(cfg Fig7Config, progress io.Writer) ([]*Fig7Series, error) {
 			if progress != nil {
 				fmt.Fprintf(progress, "  %s\n", res)
 			}
-			if res.P99 > cfg.P99Limit {
-				break // saturated; the paper stops each curve here
+			if res.P99 > p99Limit(p.Query) {
+				series.Saturated = true
+				break // the paper stops each curve here
 			}
 			series.SaturationRate = rate
 		}
@@ -114,7 +104,7 @@ func PrintFig7(w io.Writer, series []*Fig7Series) {
 				s.Protocol, p.Config.Rate,
 				p.P50.Round(100*time.Microsecond), p.P99.Round(100*time.Microsecond), p.Received)
 		}
-		fmt.Fprintf(w, "%-20s saturation throughput: %d events/s\n", s.Protocol, s.SaturationRate)
+		fmt.Fprintf(w, "%-20s saturation throughput: %s events/s\n", s.Protocol, s.Saturation())
 		if n := len(s.Points); n > 0 {
 			ls := s.Points[n-1].Log
 			fmt.Fprintf(w, "%-20s log @%d eps: appends=%d reads=%d cuts=%d (mean batch %.1f) wakeups=%d useful=%d group-commits=%d (mean %.1f)\n",
@@ -138,34 +128,10 @@ func logReads(s sharedlog.Stats) uint64 {
 // Figure 8 (paper §5.3.2): p50/p99 at commit intervals 100/50/25/10 ms,
 // fixed input rate, progress marking vs Kafka Streams transactions.
 
-// Fig8Config configures the commit-interval sweep.
-type Fig8Config struct {
-	Query     int
-	Rate      int
-	Intervals []time.Duration
-	Duration  time.Duration
-	Simulate  bool
-	Scale     float64
-}
-
-func (c Fig8Config) withDefaults() Fig8Config {
-	if len(c.Intervals) == 0 {
-		c.Intervals = []time.Duration{
-			100 * time.Millisecond, 50 * time.Millisecond,
-			25 * time.Millisecond, 10 * time.Millisecond,
-		}
-	}
-	if c.Rate == 0 {
-		if c.Query <= 2 {
-			c.Rate = 8000
-		} else {
-			c.Rate = 4000
-		}
-	}
-	if c.Duration <= 0 {
-		c.Duration = 3 * time.Second
-	}
-	return c
+// fig8Intervals are the commit intervals the paper visits.
+var fig8Intervals = []time.Duration{
+	100 * time.Millisecond, 50 * time.Millisecond,
+	25 * time.Millisecond, 10 * time.Millisecond,
 }
 
 // Fig8Point is one (interval, protocol) measurement.
@@ -175,22 +141,25 @@ type Fig8Point struct {
 	Txn      *RunResult
 }
 
-// RunFig8 sweeps commit intervals for one query at a fixed rate.
-func RunFig8(cfg Fig8Config, progress io.Writer) ([]Fig8Point, error) {
-	cfg = cfg.withDefaults()
+// RunFig8 sweeps the paper's commit intervals for p.Query at p.Rate
+// (default 8000 events/s for Q1–Q2, 4000 otherwise).
+func RunFig8(p Params, progress io.Writer) ([]Fig8Point, error) {
+	return runFig8(p, fig8Intervals, progress)
+}
+
+func runFig8(p Params, intervals []time.Duration, progress io.Writer) ([]Fig8Point, error) {
+	rate := 4000
+	if p.Query <= 2 {
+		rate = 8000
+	}
+	p = p.or(p.Query, rate, 0)
 	var out []Fig8Point
-	for _, interval := range cfg.Intervals {
+	for _, interval := range intervals {
 		pt := Fig8Point{Interval: interval}
 		for _, proto := range []impeller.Protocol{impeller.ProgressMarker, impeller.KafkaTxn} {
-			res, err := RunNexmark(RunConfig{
-				Query:           cfg.Query,
-				Protocol:        proto,
-				Rate:            cfg.Rate,
-				Duration:        cfg.Duration,
-				CommitInterval:  interval,
-				SimulateLatency: cfg.Simulate,
-				LatencyScale:    cfg.Scale,
-			})
+			run := p.run(proto)
+			run.Cluster.CommitInterval = interval
+			res, err := RunNexmark(run)
 			if err != nil {
 				return nil, err
 			}
@@ -209,8 +178,8 @@ func RunFig8(cfg Fig8Config, progress io.Writer) ([]Fig8Point, error) {
 }
 
 // PrintFig8 renders the commit-interval sweep.
-func PrintFig8(w io.Writer, q int, points []Fig8Point) {
-	fmt.Fprintf(w, "Figure 8: Q%d event-time latencies at different commit intervals\n", q)
+func PrintFig8(w io.Writer, points []Fig8Point) {
+	fmt.Fprintf(w, "Figure 8: Q%d event-time latencies at different commit intervals\n", points[0].Marker.Config.Query)
 	fmt.Fprintf(w, "%-10s | %-12s %-12s | %-12s %-12s | %-10s %-10s\n",
 		"interval", "marker p50", "marker p99", "txn p50", "txn p99", "p50 ratio", "p99 ratio")
 	for _, p := range points {
@@ -232,23 +201,12 @@ func ratio(a, b time.Duration) float64 {
 // Figure 9 (paper §5.3.4): Q5 with the unsafe variant (no progress
 // marking) against the three protocols — the cost of exactly-once.
 
-// RunFig9 sweeps Q5 across rates for all four protocols.
-func RunFig9(rates []int, duration time.Duration, simulate bool, scale float64, progress io.Writer) ([]*Fig7Series, error) {
-	if len(rates) == 0 {
-		rates = []int{2000, 4000, 8000, 12000, 16000}
-	}
-	cfg := Fig7Config{
-		Query:    5,
-		Rates:    rates,
-		Duration: duration,
-		Simulate: simulate,
-		Scale:    scale,
-		Protocols: []impeller.Protocol{
-			impeller.ProgressMarker, impeller.KafkaTxn,
-			impeller.AlignedCheckpoint, impeller.Unsafe,
-		},
-	}
-	return RunFig7(cfg, progress)
+// RunFig9 sweeps Q5 across p.Rates for all four protocols.
+func RunFig9(p Params, progress io.Writer) ([]*Fig7Series, error) {
+	p.Query = 5
+	return runFig7(p, []impeller.Protocol{
+		impeller.ProgressMarker, impeller.KafkaTxn, impeller.AlignedCheckpoint, impeller.Unsafe,
+	}, progress)
 }
 
 // PrintFig9 renders the unsafe-comparison sweep with the marker/unsafe

@@ -22,61 +22,16 @@ import (
 // wall time (fence → floors → epoch CAS → respawn) is reported
 // separately from the pipeline's observed disruption.
 
-// RescaleBenchConfig configures the step-load rescale experiment.
-type RescaleBenchConfig struct {
-	// Query is the NEXMark query (default 1 — stateless, so the dip
-	// isolates the assignment switch itself; no state migrates).
-	Query int
-	// Rate is the offered load before the step, in events/s; the step
-	// doubles it (default 4000).
-	Rate int
-	// Parallelism is the initial slot count; the rescale doubles it.
-	// MaxParallelism is the key-group headroom (defaults 2 and 8).
-	Parallelism    int
-	MaxParallelism int
-	// Duration is the whole run; the step lands at Duration/2 (default
-	// 6 s). Bucket is the goodput sampling interval (default 100 ms).
-	Duration time.Duration
-	Bucket   time.Duration
-	// CommitInterval is the progress-marker interval (default 25 ms).
-	CommitInterval time.Duration
-	// Simulate charges calibrated log latencies, scaled by Scale.
-	Simulate bool
-	Scale    float64
-	// Engine selects the task execution engine.
-	Engine impeller.EngineMode
-}
-
-func (c RescaleBenchConfig) withDefaults() RescaleBenchConfig {
-	if c.Query == 0 {
-		c.Query = 1
-	}
-	if c.Rate <= 0 {
-		c.Rate = 4000
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 2
-	}
-	if c.MaxParallelism < 2*c.Parallelism {
-		c.MaxParallelism = 2 * c.Parallelism
-		if c.MaxParallelism < 8 {
-			c.MaxParallelism = 8
-		}
-	}
-	if c.Duration <= 0 {
-		c.Duration = 6 * time.Second
-	}
-	if c.Bucket <= 0 {
-		c.Bucket = 100 * time.Millisecond
-	}
-	if c.CommitInterval <= 0 {
-		c.CommitInterval = 25 * time.Millisecond
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
-	return c
-}
+// The experiment's fixed shape: the stage starts on rescaleSlots task
+// slots and the rescale doubles them, inside rescaleKeyGroups key groups
+// of headroom; progress markers every rescaleCommit; goodput sampled in
+// rescaleBucket buckets.
+const (
+	rescaleSlots     = 2
+	rescaleKeyGroups = 8
+	rescaleCommit    = 25 * time.Millisecond
+	rescaleBucket    = 100 * time.Millisecond
+)
 
 // RescaleBucket is one goodput sample: records delivered at the sink
 // during [Start, Start+Bucket), with the slot count and assignment
@@ -89,14 +44,15 @@ type RescaleBucket struct {
 }
 
 // Goodput is the bucket's delivered rate in events/s.
-func (b RescaleBucket) Goodput(bucket time.Duration) float64 {
-	return float64(b.Delivered) / bucket.Seconds()
+func (b RescaleBucket) Goodput() float64 {
+	return float64(b.Delivered) / rescaleBucket.Seconds()
 }
 
 // RescaleBenchResult is the outcome of one step-load rescale run.
 type RescaleBenchResult struct {
-	Config   RescaleBenchConfig
-	Timeline []RescaleBucket
+	// Query ran at Rate events/s before the step and 2×Rate after it.
+	Query, Rate int
+	Timeline    []RescaleBucket
 	// Epoch is the committed assignment epoch after the split;
 	// RescaleWall is the Rescale call's wall time (fence through
 	// respawn); StepAt is when the step landed, relative to run start.
@@ -121,23 +77,23 @@ type RescaleBenchResult struct {
 	CondFailed      uint64
 }
 
-// RunRescaleBench executes the step-load rescale experiment.
-func RunRescaleBench(cfg RescaleBenchConfig, progress io.Writer) (*RescaleBenchResult, error) {
-	cfg = cfg.withDefaults()
-	cluster := impeller.NewCluster(impeller.ClusterConfig{
-		Protocol:             impeller.ProgressMarker,
-		CommitInterval:       cfg.CommitInterval,
-		DefaultParallelism:   cfg.Parallelism,
-		IngressWriters:       2,
-		IngressFlushInterval: 5 * time.Millisecond,
-		SimulateLatency:      cfg.Simulate,
-		LatencyScale:         cfg.Scale,
-		Seed:                 17,
-		Engine:               cfg.Engine,
-	})
+// RunRescaleBench executes the step-load rescale experiment on p.Query
+// (default 1 — stateless, so the dip isolates the assignment switch
+// itself; no state migrates) at p.Rate before the step and twice that
+// after it (default 4000 events/s), for p.Duration in all (default 6 s;
+// the step lands halfway).
+func RunRescaleBench(p Params, progress io.Writer) (*RescaleBenchResult, error) {
+	p = p.or(1, 4000, 6*time.Second)
+	cfg := p.cluster(impeller.ProgressMarker)
+	cfg.CommitInterval = rescaleCommit
+	cfg.DefaultParallelism = rescaleSlots
+	cfg.IngressWriters = 2
+	cfg.IngressFlushInterval = 5 * time.Millisecond
+	cfg.Seed = 17
+	cluster := impeller.NewCluster(cfg)
 	defer cluster.Close()
 
-	topo, err := nexmark.BuildOpts(cfg.Query, nexmark.Options{MaxParallelism: cfg.MaxParallelism})
+	topo, err := nexmark.BuildOpts(p.Query, nexmark.Options{MaxParallelism: rescaleKeyGroups})
 	if err != nil {
 		return nil, err
 	}
@@ -146,19 +102,19 @@ func RunRescaleBench(cfg RescaleBenchConfig, progress io.Writer) (*RescaleBenchR
 		return nil, err
 	}
 	defer app.Stop()
-	stage := nexmark.RescaleStage(cfg.Query)
+	stage := nexmark.RescaleStage(p.Query)
 
-	nBuckets := int(cfg.Duration/cfg.Bucket) + 2
+	nBuckets := int(p.Duration/rescaleBucket) + 2
 	delivered := make([]atomic.Uint64, nBuckets)
 	start := time.Now()
-	app.Sink(nexmark.OutputStream(cfg.Query), true, func(_ impeller.Record, _ impeller.TaskID, now time.Time) {
-		if i := int(now.Sub(start) / cfg.Bucket); i >= 0 && i < nBuckets {
+	app.Sink(nexmark.OutputStream(p.Query), true, func(_ impeller.Record, _ impeller.TaskID, now time.Time) {
+		if i := int(now.Sub(start) / rescaleBucket); i >= 0 && i < nBuckets {
 			delivered[i].Add(1)
 		}
 	})
 
 	// Load plane: rate R until the step, 2R after, paced in 5 ms ticks.
-	res := &RescaleBenchResult{Config: cfg, StepAt: cfg.Duration / 2}
+	res := &RescaleBenchResult{Query: p.Query, Rate: p.Rate, StepAt: p.Duration / 2}
 	gen := nexmark.NewGenerator(17)
 	seq := 0
 	var sent uint64
@@ -169,14 +125,14 @@ func RunRescaleBench(cfg RescaleBenchConfig, progress io.Writer) (*RescaleBenchR
 		carry := 0.0
 		for {
 			el := time.Since(start)
-			if el >= cfg.Duration {
+			if el >= p.Duration {
 				loadDone <- nil
 				return
 			}
-			rate := cfg.Rate
+			rate := p.Rate
 			select {
 			case <-stepped:
-				rate = 2 * cfg.Rate
+				rate = 2 * p.Rate
 			default:
 			}
 			carry += float64(rate) * tick.Seconds()
@@ -200,7 +156,7 @@ func RunRescaleBench(cfg RescaleBenchConfig, progress io.Writer) (*RescaleBenchR
 	time.Sleep(time.Until(start.Add(res.StepAt)))
 	close(stepped)
 	t0 := time.Now()
-	epoch, err := app.Rescale(context.Background(), stage, 2*cfg.Parallelism)
+	epoch, err := app.Rescale(context.Background(), stage, 2*rescaleSlots)
 	if err != nil {
 		return nil, fmt.Errorf("bench: rescale: %w", err)
 	}
@@ -208,7 +164,7 @@ func RunRescaleBench(cfg RescaleBenchConfig, progress io.Writer) (*RescaleBenchR
 	res.Epoch = epoch
 	if progress != nil {
 		fmt.Fprintf(progress, "  step at %v: %d→%d slots, epoch %d, rescale call %v\n",
-			res.StepAt, cfg.Parallelism, 2*cfg.Parallelism, epoch, res.RescaleWall.Round(10*time.Microsecond))
+			res.StepAt, rescaleSlots, 2*rescaleSlots, epoch, res.RescaleWall.Round(10*time.Microsecond))
 	}
 	if err := <-loadDone; err != nil {
 		return nil, err
@@ -216,13 +172,13 @@ func RunRescaleBench(cfg RescaleBenchConfig, progress io.Writer) (*RescaleBenchR
 	// Drain the tail so the last buckets aren't truncated mid-flight.
 	time.Sleep(400 * time.Millisecond)
 
-	stepBucket := int(res.StepAt / cfg.Bucket)
-	used := int(cfg.Duration / cfg.Bucket)
+	stepBucket := int(res.StepAt / rescaleBucket)
+	used := int(p.Duration / rescaleBucket)
 	for i := 0; i < used; i++ {
-		b := RescaleBucket{Start: time.Duration(i) * cfg.Bucket, Delivered: delivered[i].Load(),
-			Slots: cfg.Parallelism, Epoch: 1}
+		b := RescaleBucket{Start: time.Duration(i) * rescaleBucket, Delivered: delivered[i].Load(),
+			Slots: rescaleSlots, Epoch: 1}
 		if i >= stepBucket {
-			b.Slots, b.Epoch = 2*cfg.Parallelism, epoch
+			b.Slots, b.Epoch = 2*rescaleSlots, epoch
 		}
 		res.Timeline = append(res.Timeline, b)
 	}
@@ -234,20 +190,20 @@ func RunRescaleBench(cfg RescaleBenchConfig, progress io.Writer) (*RescaleBenchR
 
 	// Steady states: before = the settled window [25%, 95%] of the
 	// pre-step half (skips warmup); after = the last quarter of the run.
-	res.SteadyBefore = meanGoodput(res.Timeline, stepBucket/4, stepBucket-1, cfg.Bucket)
-	res.SteadyAfter = meanGoodput(res.Timeline, used*3/4, used, cfg.Bucket)
+	res.SteadyBefore = meanGoodput(res.Timeline, stepBucket/4, stepBucket-1)
+	res.SteadyAfter = meanGoodput(res.Timeline, used*3/4, used)
 
 	// Dip and recovery, scanned from the step bucket.
 	res.DipMin = res.SteadyBefore
 	recovered := -1
 	run := 0
 	for i := stepBucket; i < used; i++ {
-		g := res.Timeline[i].Goodput(cfg.Bucket)
+		g := res.Timeline[i].Goodput()
 		if g < res.DipMin {
 			res.DipMin = g
 		}
 		if g < 0.9*res.SteadyBefore {
-			res.DipDuration += cfg.Bucket
+			res.DipDuration += rescaleBucket
 		}
 		if recovered < 0 {
 			if g >= 0.9*res.SteadyAfter {
@@ -267,17 +223,17 @@ func RunRescaleBench(cfg RescaleBenchConfig, progress io.Writer) (*RescaleBenchR
 		}
 	}
 	if recovered >= 0 {
-		res.Recovery = time.Duration(recovered)*cfg.Bucket - res.StepAt
+		res.Recovery = time.Duration(recovered)*rescaleBucket - res.StepAt
 		if res.Recovery < 0 {
 			res.Recovery = 0
 		}
 	} else {
-		res.Recovery = cfg.Duration - res.StepAt // never re-settled
+		res.Recovery = p.Duration - res.StepAt // never re-settled
 	}
 	return res, nil
 }
 
-func meanGoodput(tl []RescaleBucket, from, to int, bucket time.Duration) float64 {
+func meanGoodput(tl []RescaleBucket, from, to int) float64 {
 	if from < 0 {
 		from = 0
 	}
@@ -291,15 +247,14 @@ func meanGoodput(tl []RescaleBucket, from, to int, bucket time.Duration) float64
 	for _, b := range tl[from:to] {
 		sum += b.Delivered
 	}
-	return float64(sum) / (float64(to-from) * bucket.Seconds())
+	return float64(sum) / (float64(to-from) * rescaleBucket.Seconds())
 }
 
 // PrintRescaleBench renders the run: the summary line the experiment is
 // about, then the goodput timeline with the step marked.
 func PrintRescaleBench(w io.Writer, r *RescaleBenchResult) {
-	c := r.Config
 	fmt.Fprintf(w, "Rescale: NEXMark Q%d step load %d→%d events/s, %d→%d slots at t=%v (epoch %d)\n",
-		c.Query, c.Rate, 2*c.Rate, c.Parallelism, 2*c.Parallelism, r.StepAt, r.Epoch)
+		r.Query, r.Rate, 2*r.Rate, rescaleSlots, 2*rescaleSlots, r.StepAt, r.Epoch)
 	fmt.Fprintf(w, "  rescale call %v · steady %.0f → %.0f ev/s · dip min %.0f ev/s (depth %.0f%%, %v under 90%%) · re-steady in %v · fenced appends %d\n",
 		r.RescaleWall.Round(10*time.Microsecond), r.SteadyBefore, r.SteadyAfter,
 		r.DipMin, 100*r.DipDepth, r.DipDuration, r.Recovery.Round(10*time.Millisecond), r.CondFailed)
@@ -310,6 +265,6 @@ func PrintRescaleBench(w io.Writer, r *RescaleBenchResult) {
 			mark = "  <- step: rate and slots double"
 		}
 		fmt.Fprintf(w, "%-8d | %-5d | %-5d | %-9.0f |%s\n",
-			b.Start.Milliseconds(), b.Slots, b.Epoch, b.Goodput(r.Config.Bucket), mark)
+			b.Start.Milliseconds(), b.Slots, b.Epoch, b.Goodput(), mark)
 	}
 }

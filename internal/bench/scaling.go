@@ -24,51 +24,11 @@ import (
 // the load no longer saturates a point, and fall sharply between the
 // saturated and unsaturated points.
 
-// ScalingConfig configures the -exp scaling sweep.
-type ScalingConfig struct {
-	// Shards are the ordering-shard counts to sweep (default 1,2,4,8).
-	Shards []int
-	// Clients is the number of concurrent appenders, fixed across
-	// points (default 256 — enough offered load to saturate the largest
-	// default shard count).
-	Clients int
-	// Duration per point, including Warmup (default 1.5 s).
-	Duration time.Duration
-	// Warmup discards samples and counts before it elapses (default
-	// Duration/4).
-	Warmup time.Duration
-	// OrderingInterval is the global cut interval (default 1 ms).
-	OrderingInterval time.Duration
-	// Scale scales simulated latencies (1.0 if zero).
-	Scale float64
-	// Seed fixes the latency randomness (default 42).
-	Seed uint64
-}
-
-func (c ScalingConfig) withDefaults() ScalingConfig {
-	if len(c.Shards) == 0 {
-		c.Shards = []int{1, 2, 4, 8}
-	}
-	if c.Clients <= 0 {
-		c.Clients = 256
-	}
-	if c.Duration <= 0 {
-		c.Duration = 1500 * time.Millisecond
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = c.Duration / 4
-	}
-	if c.OrderingInterval <= 0 {
-		c.OrderingInterval = time.Millisecond
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
-}
+// The global cut interval, and the seed of the latency randomness.
+const (
+	scalingCutInterval = time.Millisecond
+	scalingSeed        = 42
+)
 
 // ScalingPoint is one measured point of the sweep.
 type ScalingPoint struct {
@@ -86,27 +46,41 @@ type ScalingPoint struct {
 	Skew    float64
 }
 
-// RunScaling measures aggregate append throughput at each shard count.
-func RunScaling(cfg ScalingConfig, progress io.Writer) ([]ScalingPoint, error) {
-	cfg = cfg.withDefaults()
-	points := make([]ScalingPoint, 0, len(cfg.Shards))
-	for _, n := range cfg.Shards {
-		p, err := runScalingPoint(cfg, n)
+// RunScaling measures aggregate append throughput at each ordering-shard
+// count in p.Shards (default 1, 2, 4, 8) with p.Clients concurrent
+// appenders, fixed across points (default 256 — enough offered load to
+// saturate the largest default shard count). A point runs for
+// p.Duration (default 1.5 s), the first quarter of it discarded as
+// warm-up; simulated latencies are always charged, scaled by p.Scale.
+func RunScaling(p Params, progress io.Writer) ([]ScalingPoint, error) {
+	p = p.or(0, 0, 1500*time.Millisecond)
+	if len(p.Shards) == 0 {
+		p.Shards = []int{1, 2, 4, 8}
+	}
+	if p.Clients <= 0 {
+		p.Clients = 256
+	}
+	if p.Scale == 0 {
+		p.Scale = 1
+	}
+	points := make([]ScalingPoint, 0, len(p.Shards))
+	for _, n := range p.Shards {
+		pt, err := runScalingPoint(p, n)
 		if err != nil {
 			return nil, err
 		}
 		if progress != nil {
 			fmt.Fprintf(progress, "  shards=%-2d throughput=%8.0f appends/s p50=%-9v p99=%-9v cuts=%d mean_cut=%.1f skew=%.2f\n",
-				p.Shards, p.Throughput, p.P50.Round(10*time.Microsecond), p.P99.Round(10*time.Microsecond),
-				p.Cuts, p.MeanCut, p.Skew)
+				pt.Shards, pt.Throughput, pt.P50.Round(10*time.Microsecond), pt.P99.Round(10*time.Microsecond),
+				pt.Cuts, pt.MeanCut, pt.Skew)
 		}
-		points = append(points, p)
+		points = append(points, pt)
 	}
 	return points, nil
 }
 
-func runScalingPoint(cfg ScalingConfig, shards int) (ScalingPoint, error) {
-	r := sim.NewRand(cfg.Seed)
+func runScalingPoint(cfg Params, shards int) (ScalingPoint, error) {
+	r := sim.NewRand(scalingSeed)
 	scale := func(m sim.LatencyModel) sim.LatencyModel {
 		if cfg.Scale == 1 {
 			return m
@@ -116,7 +90,7 @@ func runScalingPoint(cfg ScalingConfig, shards int) (ScalingPoint, error) {
 	log := sharedlog.Open(sharedlog.Config{
 		NumShards:          4,
 		Replication:        3,
-		OrderingInterval:   cfg.OrderingInterval,
+		OrderingInterval:   scalingCutInterval,
 		OrderingShards:     shards,
 		AppendLatency:      scale(sim.DefaultBokiLatency(r.Fork())),
 		ShardAppendLatency: scale(sim.DefaultLocalPersistLatency(r.Fork())),
@@ -126,7 +100,8 @@ func runScalingPoint(cfg ScalingConfig, shards int) (ScalingPoint, error) {
 	hist := &Hist{}
 	var measured atomic.Uint64
 	start := time.Now()
-	warmupUntil := start.Add(cfg.Warmup)
+	warmup := cfg.Duration / 4
+	warmupUntil := start.Add(warmup)
 	deadline := start.Add(cfg.Duration)
 	payload := make([]byte, 64)
 
@@ -161,7 +136,7 @@ func runScalingPoint(cfg ScalingConfig, shards int) (ScalingPoint, error) {
 	}
 
 	st := log.Stats()
-	window := cfg.Duration - cfg.Warmup
+	window := cfg.Duration - warmup
 	return ScalingPoint{
 		Shards:     shards,
 		Clients:    cfg.Clients,

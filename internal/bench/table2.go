@@ -15,33 +15,11 @@ import (
 // record and consuming it from another node, for Impeller's log (Boki)
 // and Kafka, at 10/50/100 appends per second, batching disabled.
 
-// Table2Config configures the log-latency experiment.
-type Table2Config struct {
-	// Rates are the append rates to measure (paper: 10, 50, 100 aps).
-	Rates []int
-	// Duration per rate point.
-	Duration time.Duration
-	// RecordSize is the appended payload size (paper: 16 KiB).
-	RecordSize int
-	// Seed fixes the latency randomness.
-	Seed uint64
-}
-
-func (c Table2Config) withDefaults() Table2Config {
-	if len(c.Rates) == 0 {
-		c.Rates = []int{10, 50, 100}
-	}
-	if c.Duration <= 0 {
-		c.Duration = 3 * time.Second
-	}
-	if c.RecordSize <= 0 {
-		c.RecordSize = 16 << 10
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
-	}
-	return c
-}
+// The paper's record size, and the seed of the latency randomness.
+const (
+	table2RecordSize = 16 << 10
+	table2Seed       = 7
+)
 
 // Table2Row is one measured rate point.
 type Table2Row struct {
@@ -55,16 +33,20 @@ type Table2Row struct {
 	BokiLog sharedlog.Stats
 }
 
-// RunTable2 measures both logs at every rate.
-func RunTable2(cfg Table2Config) ([]Table2Row, error) {
-	cfg = cfg.withDefaults()
-	rows := make([]Table2Row, 0, len(cfg.Rates))
-	for _, rate := range cfg.Rates {
-		boki, bokiStats, err := measureBoki(cfg, rate)
+// RunTable2 measures both logs for p.Duration (default 3 s) at each of
+// p.Rates (default: the paper's 10, 50 and 100 appends per second).
+func RunTable2(p Params, _ io.Writer) ([]Table2Row, error) {
+	if len(p.Rates) == 0 {
+		p.Rates = []int{10, 50, 100}
+	}
+	p = p.or(0, 0, 3*time.Second)
+	rows := make([]Table2Row, 0, len(p.Rates))
+	for _, rate := range p.Rates {
+		boki, bokiStats, err := measureBoki(rate, p.Duration)
 		if err != nil {
 			return nil, err
 		}
-		kafka, err := measureKafka(cfg, rate)
+		kafka, err := measureKafka(rate, p.Duration)
 		if err != nil {
 			return nil, err
 		}
@@ -84,8 +66,8 @@ func RunTable2(cfg Table2Config) ([]Table2Row, error) {
 }
 
 // measureBoki appends to the shared log and consumes via a tag read.
-func measureBoki(cfg Table2Config, rate int) (*Hist, sharedlog.Stats, error) {
-	r := sim.NewRand(cfg.Seed)
+func measureBoki(rate int, duration time.Duration) (*Hist, sharedlog.Stats, error) {
+	r := sim.NewRand(table2Seed)
 	log := sharedlog.Open(sharedlog.Config{
 		NumShards:     4,
 		Replication:   3,
@@ -95,7 +77,7 @@ func measureBoki(cfg Table2Config, rate int) (*Hist, sharedlog.Stats, error) {
 	defer log.Close()
 
 	hist := &Hist{}
-	payload := make([]byte, cfg.RecordSize)
+	payload := make([]byte, table2RecordSize)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -121,7 +103,7 @@ func measureBoki(cfg Table2Config, rate int) (*Hist, sharedlog.Stats, error) {
 	}()
 
 	interval := time.Second / time.Duration(rate)
-	deadline := time.Now().Add(cfg.Duration)
+	deadline := time.Now().Add(duration)
 	for time.Now().Before(deadline) {
 		start := time.Now()
 		starts <- start
@@ -139,8 +121,8 @@ func measureBoki(cfg Table2Config, rate int) (*Hist, sharedlog.Stats, error) {
 }
 
 // measureKafka produces to a single-partition topic and fetches it.
-func measureKafka(cfg Table2Config, rate int) (*Hist, error) {
-	r := sim.NewRand(cfg.Seed + 1)
+func measureKafka(rate int, duration time.Duration) (*Hist, error) {
+	r := sim.NewRand(table2Seed + 1)
 	c := kafkalog.NewCluster(kafkalog.Config{
 		ProduceLatency: sim.DefaultKafkaLatency(r.Fork()),
 		FetchLatency:   sim.DefaultKafkaLatency(r.Fork()),
@@ -151,7 +133,7 @@ func measureKafka(cfg Table2Config, rate int) (*Hist, error) {
 	}
 
 	hist := &Hist{}
-	payload := make([]byte, cfg.RecordSize)
+	payload := make([]byte, table2RecordSize)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -175,7 +157,7 @@ func measureKafka(cfg Table2Config, rate int) (*Hist, error) {
 	}()
 
 	interval := time.Second / time.Duration(rate)
-	deadline := time.Now().Add(cfg.Duration)
+	deadline := time.Now().Add(duration)
 	for time.Now().Before(deadline) {
 		start := time.Now()
 		starts <- start

@@ -19,36 +19,6 @@ import (
 // p99.99) should hold as tasks per core grow while the goroutine
 // engine's degrades under scheduler churn.
 
-// TailConfig configures the density sweep.
-type TailConfig struct {
-	// Query and Rate fix the workload (default Q1 at 3000 events/s —
-	// stateless, so the engines' scheduling is the dominant cost).
-	Query int
-	Rate  int
-	// TasksPerCore are the density points; Parallelism at each point is
-	// TasksPerCore × GOMAXPROCS (default 1, 2, 4, 8).
-	TasksPerCore []int
-	Duration     time.Duration
-	Simulate     bool
-	Scale        float64
-}
-
-func (c TailConfig) withDefaults() TailConfig {
-	if c.Query == 0 {
-		c.Query = 1
-	}
-	if c.Rate == 0 {
-		c.Rate = 3000
-	}
-	if len(c.TasksPerCore) == 0 {
-		c.TasksPerCore = []int{1, 2, 4, 8}
-	}
-	if c.Duration <= 0 {
-		c.Duration = 3 * time.Second
-	}
-	return c
-}
-
 // TailPoint is one (density, engine) measurement.
 type TailPoint struct {
 	Engine       impeller.EngineMode
@@ -57,33 +27,32 @@ type TailPoint struct {
 	Point        *RunResult
 }
 
-// RunTail sweeps task density for both engines at a fixed workload.
-// A short discarded warm-up run precedes the sweep: the first cluster
-// run in a process otherwise absorbs one-time costs (heap growth, GC
-// ramp, page faults) that land straight in the first cell's p99.9.
-func RunTail(cfg TailConfig, progress io.Writer) ([]TailPoint, error) {
-	cfg = cfg.withDefaults()
+// RunTail sweeps task density — p.TasksPerCore (default 1, 2, 4, 8)
+// × GOMAXPROCS tasks per stage — for both engines at a fixed workload
+// (default Q1 at 3000 events/s: stateless, so the engines' scheduling
+// is the dominant cost). A short discarded warm-up run precedes the
+// sweep: the first cluster run in a process otherwise absorbs one-time
+// costs (heap growth, GC ramp, page faults) that land straight in the
+// first cell's p99.9.
+func RunTail(p Params, progress io.Writer) ([]TailPoint, error) {
+	p = p.or(1, 3000, 0)
+	if len(p.TasksPerCore) == 0 {
+		p.TasksPerCore = []int{1, 2, 4, 8}
+	}
 	cores := runtime.GOMAXPROCS(0)
-	if _, err := RunNexmark(RunConfig{
-		Query: cfg.Query, Protocol: impeller.ProgressMarker, Rate: cfg.Rate,
-		Duration: time.Second, Parallelism: cores,
-		SimulateLatency: cfg.Simulate, LatencyScale: cfg.Scale,
-	}); err != nil {
+	warm := p.run(impeller.ProgressMarker)
+	warm.Duration = time.Second
+	warm.Cluster.DefaultParallelism = cores
+	if _, err := RunNexmark(warm); err != nil {
 		return nil, fmt.Errorf("warm-up: %w", err)
 	}
 	var out []TailPoint
-	for _, tpc := range cfg.TasksPerCore {
+	for _, tpc := range p.TasksPerCore {
 		for _, engine := range []impeller.EngineMode{impeller.EngineGoroutine, impeller.EngineTasklet} {
-			res, err := RunNexmark(RunConfig{
-				Query:           cfg.Query,
-				Protocol:        impeller.ProgressMarker,
-				Rate:            cfg.Rate,
-				Duration:        cfg.Duration,
-				Parallelism:     tpc * cores,
-				SimulateLatency: cfg.Simulate,
-				LatencyScale:    cfg.Scale,
-				Engine:          engine,
-			})
+			cfg := p.run(impeller.ProgressMarker)
+			cfg.Cluster.DefaultParallelism = tpc * cores
+			cfg.Cluster.Engine = engine
+			res, err := RunNexmark(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -102,10 +71,12 @@ func RunTail(cfg TailConfig, progress io.Writer) ([]TailPoint, error) {
 
 // PrintTail renders the sweep with per-density goroutine/tasklet tail
 // ratios (>1 means the tasklet engine's tail is shorter).
-func PrintTail(w io.Writer, cfg TailConfig, points []TailPoint) {
-	cfg = cfg.withDefaults()
+func PrintTail(w io.Writer, points []TailPoint) {
+	if len(points) == 0 {
+		return
+	}
 	fmt.Fprintf(w, "Tail latency: goroutine vs tasklet engine (Q%d @ %d events/s, %d core(s))\n",
-		cfg.Query, cfg.Rate, runtime.GOMAXPROCS(0))
+		points[0].Point.Config.Query, points[0].Point.Config.Rate, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "%-10s %-7s %-5s %-10s %-10s %-10s %-10s %-8s\n",
 		"engine", "t/core", "tasks", "p50", "p99", "p99.9", "p99.99", "recv")
 	for _, p := range points {
@@ -117,19 +88,10 @@ func PrintTail(w io.Writer, cfg TailConfig, points []TailPoint) {
 			r.Received)
 	}
 	fmt.Fprintf(w, "%-10s %-18s %-18s\n", "t/core", "p99.9 go/tasklet", "p99.99 go/tasklet")
-	byDensity := map[int][2]*RunResult{}
-	for _, p := range points {
-		pair := byDensity[p.TasksPerCore]
-		pair[p.Engine] = p.Point
-		byDensity[p.TasksPerCore] = pair
-	}
-	for _, tpc := range cfg.TasksPerCore {
-		pair := byDensity[tpc]
-		g, t := pair[impeller.EngineGoroutine], pair[impeller.EngineTasklet]
-		if g == nil || t == nil {
-			continue
-		}
-		fmt.Fprintf(w, "%-10d %-18.2f %-18.2f\n", tpc, ratio(g.P999, t.P999), ratio(g.P9999, t.P9999))
+	// RunTail appends each density's goroutine point, then its tasklet point.
+	for i := 0; i+1 < len(points); i += 2 {
+		g, t := points[i].Point, points[i+1].Point
+		fmt.Fprintf(w, "%-10d %-18.2f %-18.2f\n", points[i].TasksPerCore, ratio(g.P999, t.P999), ratio(g.P9999, t.P9999))
 	}
 }
 
@@ -155,6 +117,7 @@ func WriteTailCSV(w io.Writer, points []TailPoint) error {
 
 // SmokeRow is one engine's smoke outcome.
 type SmokeRow struct {
+	Query     int
 	Engine    impeller.EngineMode
 	Delivered uint64
 	Elapsed   time.Duration
@@ -166,10 +129,8 @@ type SmokeRow struct {
 // is value-exact, so two converged runs imply identical outputs; on top
 // of that the distinct delivered counts must match, or the engines have
 // diverged.
-func RunTaskletSmoke(query int, progress io.Writer) ([]SmokeRow, error) {
-	if query == 0 {
-		query = 1
-	}
+func RunTaskletSmoke(p Params, progress io.Writer) ([]SmokeRow, error) {
+	query := p.or(1, 0, 0).Query // the other fields do not apply
 	var rows []SmokeRow
 	for _, engine := range []impeller.EngineMode{impeller.EngineGoroutine, impeller.EngineTasklet} {
 		res, err := chaos.Run(chaos.Config{
@@ -186,7 +147,7 @@ func RunTaskletSmoke(query int, progress io.Writer) ([]SmokeRow, error) {
 		if !res.Converged {
 			return nil, fmt.Errorf("tasklet-smoke: %v engine: output never converged (delivered %d)", engine, res.Delivered)
 		}
-		rows = append(rows, SmokeRow{Engine: engine, Delivered: res.Delivered, Elapsed: res.Elapsed})
+		rows = append(rows, SmokeRow{Query: query, Engine: engine, Delivered: res.Delivered, Elapsed: res.Elapsed})
 		if progress != nil {
 			fmt.Fprintf(progress, "  %s\n", res)
 		}
@@ -199,11 +160,8 @@ func RunTaskletSmoke(query int, progress io.Writer) ([]SmokeRow, error) {
 }
 
 // PrintSmoke renders the smoke outcome.
-func PrintSmoke(w io.Writer, query int, rows []SmokeRow) {
-	if query == 0 {
-		query = 1
-	}
-	fmt.Fprintf(w, "Tasklet smoke: Q%d end to end on both engines, oracle-verified\n", query)
+func PrintSmoke(w io.Writer, rows []SmokeRow) {
+	fmt.Fprintf(w, "Tasklet smoke: Q%d end to end on both engines, oracle-verified\n", rows[0].Query)
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-10s delivered=%-6d elapsed=%v\n",
 			r.Engine, r.Delivered, r.Elapsed.Round(time.Millisecond))

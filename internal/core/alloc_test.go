@@ -79,15 +79,3 @@ func BenchmarkEncodeAppendTo(b *testing.B) {
 		buf = batch.AppendTo(buf[:0])
 	}
 }
-
-// BenchmarkEncodeLegacy is the pre-refactor shape — one fresh
-// allocation per encoded batch — kept for the before/after table.
-func BenchmarkEncodeLegacy(b *testing.B) {
-	batch := benchBatch(64)
-	b.ReportAllocs()
-	b.SetBytes(int64(batch.EncodedSize()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = batch.Encode()
-	}
-}

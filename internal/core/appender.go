@@ -22,11 +22,9 @@ const (
 	DefaultBatchWindow  = 4
 )
 
-// BatchConfig tunes the per-task append batcher of the batched
-// dataplane. The zero value selects the defaults above. MaxRecords: 1
-// disables coalescing — every append becomes its own group commit,
-// which is the pre-batching dataplane (the `-exp batching` ablation
-// runs exactly that as its baseline).
+// BatchConfig sizes a batcher. Tasks always pass the zero value, which
+// selects the defaults above; it stays a struct because the batcher's
+// own tests seal on a small record count or never on time.
 type BatchConfig struct {
 	// MaxRecords seals a batch after this many appends.
 	MaxRecords int

@@ -156,14 +156,10 @@ func (s *Sink) Run(ctx context.Context) error {
 		tagIndex[t] = i
 	}
 	retry := newRetrier(s.env, "", nil)
-	readBatch := s.env.ReadBatch
-	if readBatch <= 0 {
-		readBatch = DefaultReadBatch
-	}
 	s.safe.Store(uint64(s.start))
 	cur := s.env.Log.OpenCursor(tags, s.start)
 	for {
-		recs, err := cur.NextBatchBlocking(ctx, readBatch)
+		recs, err := cur.NextBatchBlocking(ctx, DefaultReadBatch)
 		if err != nil {
 			fault, _ := retry.handleReadErr(ctx, err, cur, s.env.Log)
 			switch {
@@ -171,7 +167,7 @@ func (s *Sink) Run(ctx context.Context) error {
 				s.noteInvalidation()
 			case ctx.Err() != nil:
 				// Whatever else the read failed with, shutdown wins.
-				s.shutdownSweep(cur, tags, tagIndex, readBatch)
+				s.shutdownSweep(cur, tags, tagIndex)
 				return ctx.Err()
 			case fault == readFatal:
 				return err
@@ -229,11 +225,11 @@ func (s *Sink) ingest(ctx context.Context, rec *sharedlog.Record, tags []sharedl
 // read of records already durable in the log, so commit markers that
 // raced the shutdown still classify their queued batches. It then
 // counts the still-unclassified remainder as undrained.
-func (s *Sink) shutdownSweep(cur *sharedlog.Cursor, tags []sharedlog.Tag, tagIndex map[sharedlog.Tag]int, readBatch int) {
+func (s *Sink) shutdownSweep(cur *sharedlog.Cursor, tags []sharedlog.Tag, tagIndex map[sharedlog.Tag]int) {
 	const maxSweep = 4096
 	swept := 0
 	for swept < maxSweep {
-		recs, err := cur.NextBatch(readBatch)
+		recs, err := cur.NextBatch(DefaultReadBatch)
 		if err != nil {
 			if errors.Is(err, sharedlog.ErrCursorInvalidated) {
 				s.noteInvalidation()

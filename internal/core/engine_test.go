@@ -411,6 +411,69 @@ func c0RestartAndVerify(mgr *Manager) error {
 	}
 }
 
+// TestRecoveryReplaysChangeLogInBatches pins what recovery costs in log
+// round trips: a stateful task killed behind a deep change log is
+// replaced, and the replacement replays every change through cursor
+// fetches of DefaultReadBatch records plus readahead — not one round
+// trip per log record.
+func TestRecoveryReplaysChangeLogInBatches(t *testing.T) {
+	const minChanges, minLogRecords = 2000, 3 * DefaultReadBatch
+	c := startWordCount(t, ProtoProgressMarker, 1, 1)
+	id := TaskID("wc/count/0")
+	m := c.mgr.TaskMetrics(id)
+
+	// Bursts a few milliseconds apart: every output flush in between
+	// appends one change-log record, so the log grows deep in records
+	// and not only in changes.
+	want := make(map[string]uint64)
+	sent := 0
+	deadline := time.Now().Add(30 * time.Second)
+	for m.ChangeRecords.Load() < minChanges ||
+		len(scanTag(t, c.env.Log, GroupChangeTag("wc/count", 0))) < minLogRecords {
+		if time.Now().After(deadline) {
+			t.Fatalf("change log reached only %d changes", m.ChangeRecords.Load())
+		}
+		for i := 0; i < 20; i++ {
+			for burst := 0; burst < 10; burst++ {
+				line := fmt.Sprintf("w%d w%d", sent%97, sent%89)
+				c.ingress.Send([]byte(fmt.Sprint(sent)), []byte(line), time.Now().UnixMicro())
+				want[fmt.Sprintf("w%d", sent%97)]++
+				want[fmt.Sprintf("w%d", sent%89)]++
+				sent++
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	c.waitCounts(want, 30*time.Second) // everything applied and committed
+	changes := m.ChangeRecords.Load()
+	opens, reads, records := m.RecoveryCursor.Opens.Load(), m.RecoveryCursor.BatchReads.Load(), m.RecoveryCursor.Records.Load()
+	replayed := m.RecoveredChanges.Load()
+
+	if err := c.mgr.RestartNow(id); err != nil {
+		t.Fatal(err)
+	}
+	// One more word through the replacement: once it is counted, recovery
+	// is over and the restored counts were right.
+	c.ingress.Send([]byte("last"), []byte("w0"), time.Now().UnixMicro())
+	want["w0"]++
+	c.waitCounts(want, 30*time.Second)
+
+	opens = m.RecoveryCursor.Opens.Load() - opens
+	reads = m.RecoveryCursor.BatchReads.Load() - reads
+	records = m.RecoveryCursor.Records.Load() - records
+	replayed = m.RecoveredChanges.Load() - replayed
+	if replayed < changes {
+		t.Fatalf("replacement replayed %d of %d change records", replayed, changes)
+	}
+	if opens == 0 || records < minLogRecords {
+		t.Fatalf("replay opened %d cursors over %d log records, want ≥ 1 over ≥ %d", opens, records, minLogRecords)
+	}
+	if limit := records/DefaultReadBatch + 2*opens; reads > limit {
+		t.Fatalf("replay took %d round trips for %d log records on %d cursors, want ≤ %d", reads, records, opens, limit)
+	}
+	t.Logf("replayed %d changes in %d log records with %d round trips", replayed, records, reads)
+}
+
 func TestGCTrimsConsumedPrefix(t *testing.T) {
 	env := &Env{
 		Log:              sharedlog.Open(sharedlog.Config{}),

@@ -29,11 +29,6 @@ type Ingress struct {
 	ckpt       *CkptCoordinator
 	retry      *retrier
 
-	// batched selects the AppendBatch flush path (one group commit per
-	// flush instead of one concurrent append per substream); set from
-	// Env.Batch at construction, off when MaxRecords is pinned to 1.
-	batched bool
-
 	// flushMu serializes this writer's flushes from buffer take to
 	// append completion (including the failure re-buffer), so its
 	// batches reach the log in sequence order. Downstream dedup is a
@@ -70,9 +65,8 @@ func NewIngress(id TaskID, stream StreamID, partitions int, env *Env, ckpt *Ckpt
 	}
 	g := &Ingress{
 		ID: id, stream: stream, partitions: partitions, env: env, ckpt: ckpt,
-		bufs:    bufs,
-		batched: env.Batch.withDefaults().MaxRecords > 1,
-		retry:   newRetrier(env, ComputeNode(id), nil),
+		bufs:  bufs,
+		retry: newRetrier(env, ComputeNode(id), nil),
 	}
 	// Resume the sequence counter above this writer's durable
 	// reservation (zero on a fresh log): records sent after a
@@ -103,10 +97,8 @@ func (g *Ingress) Sent() uint64 {
 }
 
 // Flush appends all buffered batches — one AppendBatch group commit
-// covering every non-empty substream when batching is enabled, or one
-// concurrent append per substream when it is not — and, under aligned
-// checkpoints, injects a barrier when the coordinator has started a new
-// checkpoint.
+// covering every non-empty substream — and, under aligned checkpoints,
+// injects a barrier when the coordinator has started a new checkpoint.
 func (g *Ingress) Flush() error {
 	return g.flush(context.Background())
 }
@@ -145,13 +137,7 @@ func (g *Ingress) flush(ctx context.Context) error {
 		g.flushHook()
 	}
 
-	var err error
-	if g.batched {
-		err = g.flushBatched(ctx, out)
-	} else {
-		err = g.flushSingly(ctx, out)
-	}
-	if err != nil {
+	if err := g.flushBatched(ctx, out); err != nil {
 		return err
 	}
 
@@ -220,38 +206,6 @@ func (g *Ingress) flushBatched(ctx context.Context, out []ingressPending) error 
 		}
 		g.mu.Unlock()
 		return err
-	}
-	return nil
-}
-
-// flushSingly is the unbatched path (Env.Batch.MaxRecords == 1): one
-// append per non-empty substream, issued concurrently — the dataplane
-// as it was before group commit, kept for the batching ablation.
-func (g *Ingress) flushSingly(ctx context.Context, out []ingressPending) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(out))
-	for i, p := range out {
-		wg.Add(1)
-		go func(i int, p ingressPending) {
-			defer wg.Done()
-			batch := &Batch{Kind: KindSource, Producer: g.ID, Instance: 1, Records: p.records}
-			payload := batch.Encode()
-			errs[i] = g.retry.do(ctx, "ingress append", func() error {
-				_, err := g.env.Log.Append([]sharedlog.Tag{DataTag(g.stream, p.sub)}, payload)
-				return err
-			})
-			if errs[i] != nil {
-				g.mu.Lock()
-				g.rebufferLocked(p)
-				g.mu.Unlock()
-			}
-		}(i, p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -71,8 +71,8 @@ type TaskMetrics struct {
 	// AppendBatches / BatchedRecords on the write side).
 	Cursor sharedlog.CursorStats
 	// RecoveryCursor isolates the cursor activity of recovery's replay
-	// phase, so the recovery experiment can count replay round trips
-	// without input-loop noise.
+	// phase, so replay round trips are counted without input-loop noise
+	// (the benchmark's recovery.batch_reads).
 	RecoveryCursor sharedlog.CursorStats
 	// Progress is the input side as of the current instance's last commit
 	// opportunity (every grid tick, idle or not), so a task that stopped

@@ -48,20 +48,6 @@ func (t *Task) readNextRetry(ctx context.Context, label string, cur *sharedlog.C
 	return recs, err
 }
 
-// recoveryCursorOpts routes a replay cursor's counters into the
-// recovery-specific metrics sink (so the recovery experiment can count
-// replay round trips without input-loop noise), mirroring the input
-// cursor's prefetch policy.
-func (t *Task) recoveryCursorOpts() sharedlog.CursorOptions {
-	opts := sharedlog.CursorOptions{Stats: &t.Metrics.RecoveryCursor}
-	if t.readBatch == 1 {
-		opts.Prefetch = -1
-	} else {
-		opts.Prefetch = 3 * t.readBatch
-	}
-	return opts
-}
-
 // runParallel runs recovery's independent restore substreams in
 // parallel goroutines and joins them before the task goes live. The
 // first error cancels the rest and is returned.
@@ -197,13 +183,13 @@ func (t *Task) recoverMarker(ctx context.Context) error {
 	}
 	t.probe("replay")
 	replay := newGroupReplay(func(cb *Batch) { t.applyChangeBatch(cb) })
-	cur := t.log.OpenCursorOpts(t.groupChangeTags(), replayFrom, t.recoveryCursorOpts())
+	cur := t.log.OpenCursorOpts(t.groupChangeTags(), replayFrom, cursorOpts(&t.Metrics.RecoveryCursor))
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		t.heartbeat() // recovery can be long; stay visibly alive
-		recs, err := t.readNextRetry(ctx, "replay-groups", cur, t.readBatch)
+		recs, err := t.readNextRetry(ctx, "replay-groups", cur, DefaultReadBatch)
 		if err != nil {
 			return err
 		}
@@ -459,13 +445,13 @@ func (t *Task) recoverTxn(ctx context.Context) error {
 				instance, epoch uint64
 			}
 			pending := make(map[epochKey][]*Batch)
-			cur := t.log.OpenCursorOpts([]sharedlog.Tag{ChangeLogTag(t.ID)}, 0, t.recoveryCursorOpts())
+			cur := t.log.OpenCursorOpts([]sharedlog.Tag{ChangeLogTag(t.ID)}, 0, cursorOpts(&t.Metrics.RecoveryCursor))
 			for {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 				t.heartbeat()
-				recs, err := t.readNextRetry(ctx, "replay-txn", cur, t.readBatch)
+				recs, err := t.readNextRetry(ctx, "replay-txn", cur, DefaultReadBatch)
 				if err != nil {
 					return err
 				}
@@ -576,13 +562,13 @@ func (t *Task) recoverUnsafe(ctx context.Context) error {
 	if !t.stage.Stateful {
 		return nil
 	}
-	cur := t.log.OpenCursorOpts(t.groupChangeTags(), 0, t.recoveryCursorOpts())
+	cur := t.log.OpenCursorOpts(t.groupChangeTags(), 0, cursorOpts(&t.Metrics.RecoveryCursor))
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		t.heartbeat()
-		recs, err := t.readNextRetry(ctx, "replay-unsafe", cur, t.readBatch)
+		recs, err := t.readNextRetry(ctx, "replay-unsafe", cur, DefaultReadBatch)
 		if err != nil {
 			if errors.Is(err, sharedlog.ErrCursorInvalidated) {
 				// Best-effort replay: skip the trimmed prefix.

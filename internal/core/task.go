@@ -22,9 +22,9 @@ const DefaultFlushBytes = 128 << 10
 // in-memory batch buffer before being appended.
 const DefaultFlushInterval = 4 * time.Millisecond
 
-// DefaultReadBatch is how many records a task's input cursor pulls per
-// log round trip when Env.ReadBatch is 0 — the read-side counterpart
-// of BatchConfig.MaxRecords.
+// DefaultReadBatch is how many records an input, replay or sink cursor
+// pulls per log round trip — the read-side counterpart of
+// DefaultBatchRecords.
 const DefaultReadBatch = 64
 
 // ErrZombie reports that this task instance was fenced: a newer
@@ -63,7 +63,6 @@ type Task struct {
 	tagGroup  map[sharedlog.Tag]int
 	cursor    LSN
 	inCursor  *sharedlog.Cursor // streaming reader over inputTags
-	readBatch int               // records per cursor fetch
 	queue     []queuedBatch
 	tracker   commitTracker
 	lastSeq   map[seqKey]uint64
@@ -91,7 +90,6 @@ type Task struct {
 	// completion callbacks built once at construction, so the per-flush
 	// path allocates neither key strings nor closures.
 	appender    *batcher
-	batchCfg    BatchConfig
 	outDests    [][]appendDest // [port][substream]
 	changeDests []appendDest   // per owned group (parallel to groups)
 	markerTags  []sharedlog.Tag
@@ -285,16 +283,6 @@ func NewTask(stage *Stage, sub int, instance uint64, env *Env, opts TaskOptions)
 		}
 	}
 
-	t.batchCfg = env.Batch
-	if opts.Batch != (BatchConfig{}) {
-		t.batchCfg = opts.Batch
-	}
-	t.batchCfg = t.batchCfg.withDefaults()
-	t.readBatch = env.ReadBatch
-	if t.readBatch <= 0 {
-		t.readBatch = DefaultReadBatch
-	}
-
 	switch env.Protocol {
 	case ProtoProgressMarker:
 		// A task may read several input substreams; committed ranges
@@ -321,8 +309,6 @@ type TaskOptions struct {
 	Ckpt      *CkptCoordinator
 	Heartbeat func()
 	Metrics   *TaskMetrics
-	// Batch, when non-zero, overrides Env.Batch for this task.
-	Batch BatchConfig
 	// Groups are the key groups this slot owns under AssignEpoch (the
 	// manager reads them from the assignment plane). Nil derives the
 	// contiguous epoch-1 assignment from the stage — the pre-rescaling
@@ -495,7 +481,7 @@ func (t *Task) Run(ctx context.Context) error {
 			rctx, cancel := context.WithTimeout(ctx, wait)
 			// The batch is a view into the cursor's buffer, valid until
 			// the next fetch: an unbudgeted step consumes all of it.
-			recs, err := t.inCursor.NextBatchBlocking(rctx, t.readBatch)
+			recs, err := t.inCursor.NextBatchBlocking(rctx, DefaultReadBatch)
 			cancel()
 			if err == nil {
 				t.recs = recs
@@ -519,7 +505,7 @@ func (t *Task) Run(ctx context.Context) error {
 // open is the blocking prologue of a run, on the spawn goroutine under
 // either driver: recover position and state, open the processor, open
 // the input cursor — one streaming reader over every input tag, one log
-// round trip per readBatch records (plus bounded readahead) — and set
+// round trip per DefaultReadBatch records (plus bounded readahead) — and set
 // the first flush and commit deadlines.
 func (t *Task) open(ctx context.Context) error {
 	t.runCtx = ctx
@@ -532,24 +518,19 @@ func (t *Task) open(ctx context.Context) error {
 	if err := t.proc.Open(t); err != nil {
 		return fmt.Errorf("task %s: open: %w", t.ID, err)
 	}
-	t.inCursor = t.log.OpenCursorOpts(t.inputTags, t.cursor, t.inputCursorOpts())
+	t.inCursor = t.log.OpenCursorOpts(t.inputTags, t.cursor, cursorOpts(&t.Metrics.Cursor))
 	now := clock.Now()
 	t.nextFlush = now.Add(DefaultFlushInterval)
 	t.sched.next = t.env.commitTick(now)
 	return nil
 }
 
-// inputCursorOpts builds the input cursor's options from the task's
-// read-batch setting: readBatch 1 is the per-record ablation, so
-// readahead is disabled to keep it a faithful point-read baseline.
-func (t *Task) inputCursorOpts() sharedlog.CursorOptions {
-	opts := sharedlog.CursorOptions{Stats: &t.Metrics.Cursor}
-	if t.readBatch == 1 {
-		opts.Prefetch = -1
-	} else {
-		opts.Prefetch = 3 * t.readBatch
-	}
-	return opts
+// cursorOpts is the options of every cursor a task opens: three batches
+// of readahead, counters routed to stats — Metrics.Cursor for the input
+// cursor, Metrics.RecoveryCursor for recovery's replay cursors, so
+// replay round trips are counted without input-loop noise.
+func cursorOpts(stats *sharedlog.CursorStats) sharedlog.CursorOptions {
+	return sharedlog.CursorOptions{Stats: stats, Prefetch: 3 * DefaultReadBatch}
 }
 
 // unbudgeted is the step budget that never runs out: the goroutine
@@ -1016,7 +997,7 @@ func (t *Task) submitAppend(tags []sharedlog.Tag, payload []byte, eb *wire.Buf, 
 			loop := t.tlLoop
 			notify = func() { poke(loop.notify) }
 		}
-		t.appender = newBatcher(t.log, t.batchCfg, t.retry, ctx, t.env.Clock, t.Metrics, notify)
+		t.appender = newBatcher(t.log, BatchConfig{}, t.retry, ctx, t.env.Clock, t.Metrics, notify)
 	}
 	t.Metrics.Appends.Add(1)
 	t.appender.submit(tags, payload, eb, onDone)

@@ -446,7 +446,7 @@ func (t *Task) feed(ctx context.Context) {
 	tl := t.tl
 	defer close(tl.feederDone)
 	for ctx.Err() == nil {
-		recs, err := t.inCursor.NextBatchBlocking(ctx, t.readBatch)
+		recs, err := t.inCursor.NextBatchBlocking(ctx, DefaultReadBatch)
 		var ev taskletEvent
 		if err == nil {
 			// The cursor's batch is a view into its internal buffer,

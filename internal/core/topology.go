@@ -196,15 +196,6 @@ type Env struct {
 	// Retry bounds the transient-fault retry loop around log
 	// operations; the zero value selects the defaults.
 	Retry RetryPolicy
-	// Batch tunes the batched dataplane (task append batchers and the
-	// ingress group-commit path); the zero value selects the defaults.
-	// MaxRecords: 1 disables coalescing for ablations.
-	Batch BatchConfig
-	// ReadBatch is the streaming read plane's batch size: how many
-	// records a task's input cursor (and recovery's replay cursors) pull
-	// per log round trip. 0 selects DefaultReadBatch; 1 degenerates to
-	// per-record reads with readahead disabled (the ablation baseline).
-	ReadBatch int
 	// Seed fixes the retry jitter stream (0 selects a fixed default).
 	Seed uint64
 	// Engine selects the task execution engine: goroutine-per-task (the

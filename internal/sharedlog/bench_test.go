@@ -284,8 +284,8 @@ func BenchmarkCursorFanout(b *testing.B) {
 // BenchmarkReplayDepth is the recovery shape under calibrated latency
 // (scaled like BenchmarkAppendLatencyAmortization): replay a 2048-deep
 // change log once per iteration, per-record reads vs a prefetching
-// cursor. The per-record ns gap is the round-trip amortization the
-// -exp recovery experiment measures end to end.
+// cursor. The per-record ns gap is the round-trip amortization
+// results/recovery.md recorded end to end.
 func BenchmarkReplayDepth(b *testing.B) {
 	const depth = 2048
 	open := func() *Log {

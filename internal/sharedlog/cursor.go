@@ -59,8 +59,8 @@ type CursorOptions struct {
 	// Prefetch bounds the readahead buffer: a fetch may retrieve up to
 	// max+Prefetch records, the surplus served from memory by later
 	// NextBatch calls. 0 means DefaultCursorPrefetch; negative disables
-	// readahead (every batch is a fetch — the per-record ablation uses
-	// this with max=1).
+	// readahead (every batch is a fetch — Table 2's one-record exchange
+	// uses this with max=1).
 	Prefetch int
 	// Stats, if non-nil, additionally receives this cursor's counters
 	// (e.g. a task's TaskMetrics). Log.Stats() is updated regardless.
