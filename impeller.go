@@ -37,10 +37,12 @@ import (
 	"impeller/internal/wal"
 )
 
-// Datum is one application record: key, value, event time (µs).
+// Datum is one application record: key, value, event time (µs). A
+// processor's input Key and Value are read-only views of the log.
 type Datum = core.Datum
 
-// Record is one record as stored in (and read back from) the log.
+// Record is one record as stored in (and read back from) the log. Read
+// back, its Key and Value are read-only views of the immutable log.
 type Record = core.Record
 
 // TaskID identifies a task.
@@ -130,7 +132,8 @@ const (
 type Consumer = core.Consumer
 
 // Delivery is one record handed to a Consumer, carrying its
-// exactly-once identity (Partition, Producer, Seq).
+// exactly-once identity (Partition, Producer, Seq). It is valid only
+// during Deliver; copy it to keep it.
 type Delivery = core.Delivery
 
 // DeliveryOptions tunes a transactional egress sink (in-flight window,

@@ -4,7 +4,55 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 )
+
+// FuzzDecodeBatch asserts the batch decoder — fed every log record,
+// including those WAL recovery rebuilt from possibly corrupt frames — is
+// total over arbitrary bytes, that a successful decode re-encodes to the
+// input byte for byte, and that every decoded Control, Key and Value is
+// a view lying inside the input with no capacity beyond its length (an
+// append on it must not reach the bytes after it).
+func FuzzDecodeBatch(f *testing.F) {
+	data := benchBatch(3)
+	data.Records[1].Key = nil
+	f.Add(data.Encode())
+	f.Add((&Batch{Kind: KindMarker, Producer: "q/s/0", Instance: 2, Control: []byte("marker")}).Encode())
+	f.Add((&Batch{Kind: KindSource, Producer: "ingress/0"}).Encode())
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 40))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		b, err := DecodeBatch(in)
+		if err != nil {
+			if b != nil {
+				t.Fatal("error with non-nil batch")
+			}
+			return
+		}
+		if !bytes.Equal(b.Encode(), in) {
+			t.Fatal("decode then encode does not give the input back")
+		}
+		inside := func(what string, v []byte) {
+			if len(v) == 0 {
+				return
+			}
+			if cap(v) != len(v) {
+				t.Fatalf("%s: cap %d > len %d", what, cap(v), len(v))
+			}
+			start := uintptr(unsafe.Pointer(unsafe.SliceData(v)))
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(in)))
+			if start < lo || start+uintptr(len(v)) > lo+uintptr(len(in)) {
+				t.Fatalf("%s is not a view of the input", what)
+			}
+		}
+		inside("control", b.Control)
+		for i := range b.Records {
+			inside("key", b.Records[i].Key)
+			inside("value", b.Records[i].Value)
+		}
+	})
+}
 
 // FuzzDecodeAlignedSnapshot asserts the aligned-checkpoint decoder is
 // total over arbitrary bytes — it either decodes or errors, never

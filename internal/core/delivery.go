@@ -34,6 +34,11 @@ import (
 // stably across redeliveries, so consumers deduplicate by tracking the
 // highest applied Seq per (Partition, Producer).
 //
+// *d is valid only during Deliver: the sink reuses one Delivery per
+// partition worker, so copy *d to keep it. d.Record.Key and Value are
+// read-only views of the immutable log record and stay valid after
+// Deliver returns, but must never be written through.
+//
 // Returning nil acknowledges the record. Any other error is treated as
 // transient and retried with jittered backoff — losing data must be an
 // explicit choice, made by wrapping the error with PermanentError.
@@ -43,7 +48,8 @@ type Consumer interface {
 	Deliver(ctx context.Context, d *Delivery) error
 }
 
-// Delivery is one record handed to a Consumer.
+// Delivery is one record handed to a Consumer, valid for the duration
+// of the Deliver call (see Consumer).
 type Delivery struct {
 	Stream    StreamID
 	Partition int
@@ -159,6 +165,43 @@ type pendingDelivery struct {
 	rec      Record
 }
 
+// deliveryQueue is one partition's admitted deliveries, oldest first,
+// and the one its worker is delivering. Entries live by value in a
+// reused slice, so admitting and retiring a record allocates nothing.
+type deliveryQueue struct {
+	items []pendingDelivery // items[head:] are queued
+	head  int
+	// busy marks the worker holding an entry popped from the queue;
+	// busyLSN is its LSN, which pins the resumable frontier.
+	busy    bool
+	busyLSN LSN
+}
+
+func (q *deliveryQueue) len() int { return len(q.items) - q.head }
+
+func (q *deliveryQueue) push(e pendingDelivery) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// Full with a consumed prefix: slide the live entries down
+		// instead of growing.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, e)
+}
+
+// pop moves the oldest entry to the busy slot and returns it.
+func (q *deliveryQueue) pop() pendingDelivery {
+	e := q.items[q.head]
+	q.items[q.head] = pendingDelivery{} // do not pin the record
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	q.busy, q.busyLSN = true, e.lsn
+	return e
+}
+
 // DeliverySink drives exactly-once delivery of a stream's committed
 // output to a Consumer. Construct with NewDeliverySink, then call Run
 // exactly once; stop either gracefully with Stop (drains the window and
@@ -181,8 +224,7 @@ type DeliverySink struct {
 
 	mu          sync.Mutex
 	cond        *sync.Cond
-	queues      [][]*pendingDelivery
-	current     []*pendingDelivery // per partition, the entry being delivered
+	queues      []deliveryQueue // per partition
 	inflight    int
 	eseq        uint64
 	acked       map[ackKey]uint64
@@ -230,8 +272,7 @@ func NewDeliverySink(stream StreamID, partitions int, env *Env, consumer Consume
 		egressTag:   EgressOffsetsTag(stream, opts.SinkID),
 		deadTag:     DeadLetterTag(stream, opts.SinkID),
 		producerID:  TaskID(node),
-		queues:      make([][]*pendingDelivery, partitions),
-		current:     make([]*pendingDelivery, partitions),
+		queues:      make([]deliveryQueue, partitions),
 		acked:       make(map[ackKey]uint64),
 		resumeAcked: make(map[ackKey]uint64),
 		stopCh:      make(chan struct{}),
@@ -406,8 +447,7 @@ func (ds *DeliverySink) submit(ctx context.Context, partition int, lsn LSN, prod
 		return false
 	}
 	ds.eseq++
-	e := &pendingDelivery{lsn: lsn, producer: producer, seq: r.Seq, eseq: ds.eseq, rec: r}
-	ds.queues[partition] = append(ds.queues[partition], e)
+	ds.queues[partition].push(pendingDelivery{lsn: lsn, producer: producer, seq: r.Seq, eseq: ds.eseq, rec: r})
 	ds.inflight++
 	ds.cond.Broadcast()
 	ds.mu.Unlock()
@@ -415,52 +455,46 @@ func (ds *DeliverySink) submit(ctx context.Context, partition int, lsn LSN, prod
 	return true
 }
 
+// worker delivers partition p's queue in order. Its one Delivery is
+// reused for every attempt: a consumer may not keep *d (see Consumer).
 func (ds *DeliverySink) worker(ctx context.Context, p int) {
+	d := &Delivery{Stream: ds.stream, Partition: p}
 	for {
-		e := ds.next(ctx, p)
-		if e == nil {
+		e, ok := ds.next(ctx, p)
+		if !ok {
 			return
 		}
-		ds.deliverOne(ctx, p, e)
+		ds.deliverOne(ctx, d, &e)
 	}
 }
 
-// next pops the partition's queue head into the current slot, waiting
-// for work; nil means shutdown.
-func (ds *DeliverySink) next(ctx context.Context, p int) *pendingDelivery {
+// next pops the partition's queue head into its busy slot, waiting for
+// work; false means shutdown.
+func (ds *DeliverySink) next(ctx context.Context, p int) (pendingDelivery, bool) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	for len(ds.queues[p]) == 0 {
+	q := &ds.queues[p]
+	for q.len() == 0 {
 		if ctx.Err() != nil {
-			return nil
+			return pendingDelivery{}, false
 		}
 		ds.cond.Wait()
 	}
-	e := ds.queues[p][0]
-	ds.queues[p] = ds.queues[p][1:]
-	ds.current[p] = e
-	return e
+	return q.pop(), true
 }
 
 // deliverOne drives one record to acknowledgment, dead-letter, or
 // shutdown. Unknown errors retry forever with jittered backoff — the
 // occupied window slot is what turns a consumer outage into
 // backpressure instead of loss.
-func (ds *DeliverySink) deliverOne(ctx context.Context, p int, e *pendingDelivery) {
+func (ds *DeliverySink) deliverOne(ctx context.Context, d *Delivery, e *pendingDelivery) {
+	p := d.Partition
 	permFails := 0
 	for attempt := 1; ; attempt++ {
 		if ctx.Err() != nil {
 			return
 		}
-		d := &Delivery{
-			Stream:    ds.stream,
-			Partition: p,
-			Producer:  e.producer,
-			Seq:       e.seq,
-			EgressSeq: e.eseq,
-			Attempt:   attempt,
-			Record:    e.rec,
-		}
+		d.Producer, d.Seq, d.EgressSeq, d.Attempt, d.Record = e.producer, e.seq, e.eseq, attempt, e.rec
 		err := ds.consumer.Deliver(ctx, d)
 		ds.attempts.Add(1)
 		if err == nil {
@@ -495,7 +529,7 @@ func (ds *DeliverySink) deliverOne(ctx context.Context, p int, e *pendingDeliver
 // floor advances and a window slot frees.
 func (ds *DeliverySink) resolve(p int, e *pendingDelivery) {
 	ds.mu.Lock()
-	ds.current[p] = nil
+	ds.queues[p].busy = false
 	k := ackKey{p, e.producer}
 	if e.seq > ds.acked[k] {
 		ds.acked[k] = e.seq
@@ -533,11 +567,12 @@ func (ds *DeliverySink) frontierSnapshot() (resume LSN, acked map[ackKey]uint64,
 	defer ds.mu.Unlock()
 	resume = ds.sink.SafePos()
 	for p := range ds.queues {
-		if c := ds.current[p]; c != nil && c.lsn < resume {
-			resume = c.lsn
+		q := &ds.queues[p]
+		if q.busy && q.busyLSN < resume {
+			resume = q.busyLSN
 		}
-		if len(ds.queues[p]) > 0 && ds.queues[p][0].lsn < resume {
-			resume = ds.queues[p][0].lsn
+		if q.len() > 0 && q.items[q.head].lsn < resume {
+			resume = q.items[q.head].lsn
 		}
 	}
 	changed = ds.ackDirty || resume != ds.lastResume

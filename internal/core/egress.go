@@ -46,8 +46,14 @@ type Sink struct {
 	safe atomic.Uint64
 
 	// OnRecord, when set, observes each distinct output record along
-	// with the wall-clock time it became available.
+	// with the wall-clock time it became available. r.Key and r.Value
+	// are read-only views of the immutable log record: the callback may
+	// keep them but must not write through them.
 	OnRecord func(r Record, producer TaskID, now time.Time)
+
+	// accepted is deliver's scratch list of the records it hands to the
+	// delivery window; only the read loop touches it.
+	accepted []int
 
 	mu            sync.Mutex
 	lastSeq       map[TaskID]uint64
@@ -277,26 +283,28 @@ func (s *Sink) noteInvalidation() {
 }
 
 func (s *Sink) drain(ctx context.Context, tags []sharedlog.Tag) {
-	for len(s.queue) > 0 {
-		head := s.queue[0]
-		switch s.tracker.classify(tags[head.port], head.batch, head.lsn) {
-		case classCommitted:
-			s.queue = s.queue[1:]
+	done := 0
+	for done < len(s.queue) {
+		head := s.queue[done]
+		c := s.tracker.classify(tags[head.port], head.batch, head.lsn)
+		if c == classUnknown {
+			break
+		}
+		done++
+		if c == classCommitted {
 			s.deliver(ctx, head.port, head.lsn, head.batch)
-		case classUncommitted:
-			s.queue = s.queue[1:]
+		} else {
 			s.mu.Lock()
 			s.dropped += uint64(len(head.batch.Records))
 			s.mu.Unlock()
-		case classUnknown:
-			return
 		}
 	}
+	s.queue = dropFront(s.queue, done)
 }
 
 func (s *Sink) deliver(ctx context.Context, port int, lsn LSN, b *Batch) {
 	now := s.env.Clock.Now()
-	var accepted []int
+	accepted := s.accepted[:0]
 	s.mu.Lock()
 	armed := s.invalidations > 0
 	for i := range b.Records {
@@ -328,6 +336,7 @@ func (s *Sink) deliver(ctx context.Context, port int, lsn LSN, b *Batch) {
 	for _, i := range accepted {
 		s.delivery.submit(ctx, port, lsn, b.Producer, b.Records[i])
 	}
+	s.accepted = accepted
 }
 
 // Counts reports the sink's delivery accounting so far.

@@ -4,6 +4,12 @@ import "fmt"
 
 // Datum is one application record flowing through operators: a key, an
 // opaque value, and the event time the record logically occurred at.
+//
+// A Datum handed to Process carries read-only views: Key and Value
+// alias the immutable log record the task read it from (DecodeBatch).
+// A processor must not write through them; it may keep them, emit them
+// unchanged, or build new slices (append on a view reallocates). The
+// state store copies what it is given.
 type Datum struct {
 	Key, Value []byte
 	// EventTime is in microseconds since the Unix epoch.
@@ -117,6 +123,12 @@ func SelectKey(fn func(d Datum) []byte) Processor {
 // the chain. Multi-output processors (Branch) may only appear last.
 type chain struct {
 	procs []Processor
+	// links[i] is the Emit procs[i] writes to: it runs procs[i+1]. The
+	// links are built once, in Chain, so a record passing through the
+	// chain allocates no closure; the last link forwards to out.
+	links []Emit
+	// out is the Emit of the Process call in progress.
+	out Emit
 }
 
 // Chain fuses processors into one (operator pipelining within a stage).
@@ -124,7 +136,22 @@ func Chain(procs ...Processor) Processor {
 	if len(procs) == 1 {
 		return procs[0]
 	}
-	return &chain{procs: procs}
+	c := &chain{procs: procs, links: make([]Emit, len(procs)-1)}
+	for i := range c.links {
+		c.links[i] = func(_ int, d Datum) {
+			emit := c.out
+			if i+1 < len(c.links) {
+				emit = c.links[i+1]
+			}
+			// Errors inside fused downstream operators surface via panic
+			// to keep Emit's signature simple; the task runtime recovers
+			// them.
+			if err := c.procs[i+1].Process(0, d, emit); err != nil {
+				panic(chainError{err})
+			}
+		}
+	}
+	return c
 }
 
 // Open implements Processor.
@@ -139,20 +166,8 @@ func (c *chain) Open(ctx ProcContext) error {
 
 // Process implements Processor.
 func (c *chain) Process(port int, d Datum, emit Emit) error {
-	return c.process(0, port, d, emit)
-}
-
-func (c *chain) process(i, port int, d Datum, emit Emit) error {
-	if i == len(c.procs)-1 {
-		return c.procs[i].Process(port, d, emit)
-	}
-	return c.procs[i].Process(port, d, func(_ int, out Datum) {
-		// Errors inside fused downstream operators surface via panic to
-		// keep Emit's signature simple; the task runtime recovers them.
-		if err := c.process(i+1, 0, out, emit); err != nil {
-			panic(chainError{err})
-		}
-	})
+	c.out = emit
+	return c.procs[0].Process(port, d, c.links[0])
 }
 
 type chainError struct{ err error }

@@ -10,6 +10,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"sync"
+	"sync/atomic"
 
 	"impeller/internal/sharedlog"
 	"impeller/internal/wire"
@@ -125,7 +128,11 @@ type Record struct {
 	// EventTime is the application event time in microseconds since the
 	// Unix epoch; end-to-end latency is measured against it (paper §5.3).
 	EventTime int64
-	// Key and Value carry the application payload.
+	// Key and Value carry the application payload. In a record read from
+	// the log (DecodeBatch) they are read-only views of the immutable log
+	// record: never write through them; copy them to keep a mutable
+	// version. Appending to one is safe — its capacity ends at its
+	// length, so append reallocates.
 	Key, Value []byte
 }
 
@@ -134,6 +141,10 @@ type Record struct {
 // either a control payload or a batch of application records. Both
 // Impeller and Kafka Streams batch appends through an in-memory output
 // buffer (paper §5.3), so the log-record granularity is the batch.
+//
+// A decoded batch is a view: its Control and every record's Key and
+// Value alias the buffer it was decoded from, which for log records is
+// the log's immutable payload, shared by every reader.
 type Batch struct {
 	// Kind discriminates data batches from control records.
 	Kind Kind
@@ -200,7 +211,12 @@ func (b *Batch) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// DecodeBatch parses a batch previously produced by Encode.
+// DecodeBatch parses a batch previously produced by Encode. It copies no
+// payload bytes: Control, Key and Value are read-only views of buf, each
+// capped at its own length, so buf must stay unmodified while the batch
+// is in use — which log records (immutable once committed) always are.
+// A batch costs two allocations, the Batch and its Records, whatever
+// its record count; the producer id is interned (internProducer).
 func DecodeBatch(buf []byte) (*Batch, error) {
 	if len(buf) < 1+8+8+2 {
 		return nil, ErrBadEncoding
@@ -220,7 +236,7 @@ func DecodeBatch(buf []byte) (*Batch, error) {
 	if p+plen > len(buf) {
 		return nil, ErrBadEncoding
 	}
-	b.Producer = TaskID(buf[p : p+plen])
+	b.Producer = internProducer(buf[p : p+plen])
 	p += plen
 	var err error
 	b.Control, p, err = readBytes32(buf, p)
@@ -232,7 +248,9 @@ func DecodeBatch(buf []byte) (*Batch, error) {
 	}
 	count := int(binary.LittleEndian.Uint32(buf[p:]))
 	p += 4
-	if count > len(buf) { // cheap sanity bound before allocating
+	// Every record takes at least 24 bytes (seq, event time, two length
+	// prefixes): reject a corrupt count before allocating for it.
+	if count > (len(buf)-p)/24 {
 		return nil, ErrBadEncoding
 	}
 	if count > 0 {
@@ -261,6 +279,9 @@ func DecodeBatch(buf []byte) (*Batch, error) {
 	return b, nil
 }
 
+// readBytes32 reads a length-prefixed field as a view of buf. The full
+// slice expression caps the view at its own length, so an append on it
+// reallocates instead of overwriting the next field.
 func readBytes32(buf []byte, p int) ([]byte, int, error) {
 	if p+4 > len(buf) {
 		return nil, 0, ErrBadEncoding
@@ -273,7 +294,45 @@ func readBytes32(buf []byte, p int) ([]byte, int, error) {
 	if n == 0 {
 		return nil, p, nil
 	}
-	out := make([]byte, n)
-	copy(out, buf[p:p+n])
-	return out, p + n, nil
+	return buf[p : p+n : p+n], p + n, nil
+}
+
+// maxInternedProducers bounds the intern table: a log carries a few
+// distinct producers (task ids, ingress writers, delivery sinks), so
+// only corrupt or adversarial input ever reaches the bound, and past it
+// a producer id is simply allocated per batch.
+const maxInternedProducers = 4096
+
+var (
+	// producerNames maps producer ids to one shared string each. It is
+	// copy-on-write: readers do one atomic load and a map index with
+	// string(b), which the compiler performs without allocating.
+	producerNames atomic.Pointer[map[string]TaskID]
+	producerMu    sync.Mutex // serializes writers of producerNames
+)
+
+// internProducer returns the producer id spelled by b without
+// allocating once that id has been seen. Unlike the payload views, the
+// id becomes a map key all over the runtime (trackers, dedup floors,
+// ack frontiers), so it must neither alias nor pin a log record.
+func internProducer(b []byte) TaskID {
+	if m := producerNames.Load(); m != nil {
+		if id, ok := (*m)[string(b)]; ok {
+			return id
+		}
+	}
+	id := TaskID(b)
+	producerMu.Lock()
+	defer producerMu.Unlock()
+	old := producerNames.Load()
+	if old != nil && len(*old) >= maxInternedProducers {
+		return id
+	}
+	next := make(map[string]TaskID)
+	if old != nil {
+		maps.Copy(next, *old)
+	}
+	next[string(id)] = id
+	producerNames.Store(&next)
+	return id
 }

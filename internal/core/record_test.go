@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -39,6 +41,60 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Fatalf("record %d mismatch: %+v vs %+v", i, out.Records[i], in.Records[i])
 		}
 	}
+}
+
+// TestDecodedViewAppendIsSafe: decoded fields are views of the encoded
+// buffer capped at their own length, so an append on one reallocates
+// rather than overwriting the field after it or the log's bytes.
+func TestDecodedViewAppendIsSafe(t *testing.T) {
+	enc := (&Batch{Kind: KindData, Producer: "p", Records: []Record{
+		{Seq: 1, Key: []byte("key"), Value: []byte("value")},
+	}}).Encode()
+	src := append([]byte(nil), enc...)
+	out, err := DecodeBatch(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &out.Records[0]
+	if cap(r.Key) != len(r.Key) {
+		t.Fatalf("decoded key has cap %d > len %d: an append would write into the log", cap(r.Key), len(r.Key))
+	}
+	grown := append(r.Key, "XXXXXXXXXXXX"...)
+	if string(grown) != "keyXXXXXXXXXXXX" || string(r.Key) != "key" {
+		t.Fatalf("append on a view: got %q, view now %q", grown, r.Key)
+	}
+	if string(r.Value) != "value" {
+		t.Fatalf("append on Records[0].Key overwrote Records[0].Value: %q", r.Value)
+	}
+	if !bytes.Equal(enc, src) {
+		t.Fatal("append on a decoded view modified the source buffer")
+	}
+}
+
+// TestDecodeProducerConcurrent: every reader decodes through the one
+// producer intern table; concurrent first sightings of many ids must
+// each come back spelled right (run under -race by `make race`).
+func TestDecodeProducerConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				want := TaskID(fmt.Sprintf("intern-test/%d/%d", i%50, g%2))
+				out, err := DecodeBatch((&Batch{Kind: KindData, Producer: want}).Encode())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if out.Producer != want {
+					t.Errorf("decoded producer %q, want %q", out.Producer, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestBatchControlRoundTrip(t *testing.T) {

@@ -210,16 +210,11 @@ func TestManagerRestartBackoff(t *testing.T) {
 		t.Fatalf("restarted %d times in 300ms with a down node; backoff is not pacing", down)
 	}
 
-	// Recover the node; the next instance should come up, stay healthy,
-	// and processing should work end to end again.
+	// Recover the node; an instance should come up, stay healthy, and
+	// processing should work end to end again. That need not be a new
+	// restart: an instance spawned just before the recovery can survive
+	// it, so output arriving is the claim, not the restart count moving.
 	faults.Recover(ComputeNode(id))
-	deadline := time.Now().Add(10 * time.Second)
-	for mgr.Restarts(id) == down {
-		if time.Now().After(deadline) {
-			t.Fatal("task never restarted after node recovery")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 
 	ing := NewIngress("ingress/0", "lines", 1, mgr.Env(), nil)
 	go func() { _ = ing.Run(ctx, 5*time.Millisecond) }()

@@ -37,13 +37,16 @@ func newStepHarness(t *testing.T, proto FTProtocol, stage *Stage) *stepHarness {
 	}).withDefaults()
 	t.Cleanup(env.Log.Close)
 	h := &stepHarness{t: t, env: env, next: 1}
-	stage.NewProcessor = func() Processor {
-		return ProcessorFunc(func(port int, d Datum, emit Emit) error {
-			h.processed = append(h.processed, fmt.Sprintf("%d:%s", port, d.Value))
-			h.task.Store().Put("n/"+string(d.Key), d.Value)
-			emit(0, d)
-			return nil
-		})
+	if stage.NewProcessor == nil {
+		// The recording processor: what went through, in order.
+		stage.NewProcessor = func() Processor {
+			return ProcessorFunc(func(port int, d Datum, emit Emit) error {
+				h.processed = append(h.processed, fmt.Sprintf("%d:%s", port, d.Value))
+				h.task.Store().Put("n/"+string(d.Key), d.Value)
+				emit(0, d)
+				return nil
+			})
+		}
 	}
 	h.task = NewTask(stage, 0, 1, env, TaskOptions{})
 	t.Cleanup(h.task.closeAppenders)

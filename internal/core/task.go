@@ -46,6 +46,9 @@ type Task struct {
 
 	proc  Processor
 	store *StateStore
+	// emitFn is t.emit bound once at construction: passing the method
+	// value to Process directly would allocate a closure per record.
+	emitFn Emit
 
 	// slot is the task-slot index within the stage (the <sub> of the
 	// task id); groups are the key groups the slot owns under the
@@ -66,6 +69,9 @@ type Task struct {
 	queue     []queuedBatch
 	tracker   commitTracker
 	lastSeq   map[seqKey]uint64
+	// seqKeys caches seqStoreKey per seqKey: persistSeq runs once per
+	// processed batch.
+	seqKeys map[seqKey]string
 	// groupFloor, set by recovery from the handoff keys, suppresses data
 	// records below an acquired group's transfer floor: the donor slot
 	// already committed them under the previous assignment epoch.
@@ -180,6 +186,7 @@ func NewTask(stage *Stage, sub int, instance uint64, env *Env, opts TaskOptions)
 		log:         env.Log,
 		proc:        stage.NewProcessor(),
 		lastSeq:     make(map[seqKey]uint64),
+		seqKeys:     make(map[seqKey]string),
 		groupFloor:  make(map[int]LSN),
 		skipBelow:   make(map[TaskID]LSN),
 		outFirst:    make(map[sharedlog.Tag]LSN),
@@ -211,6 +218,7 @@ func NewTask(stage *Stage, sub int, instance uint64, env *Env, opts TaskOptions)
 	if opts.Metrics != nil {
 		t.Metrics = opts.Metrics
 	}
+	t.emitFn = t.emit
 	hb := t.heartbeat
 	t.heartbeat = func() {
 		t.progress.Add(1)
@@ -762,20 +770,22 @@ func (t *Task) routeFor(rec *sharedlog.Record) (port, group int, tag sharedlog.T
 // producer batches, when the step budget runs out; t.pendingDrain then
 // stays set and the next step resumes here before ingesting anything.
 func (t *Task) drain() error {
-	for len(t.queue) > 0 {
+	done := 0 // head entries retired by this drain
+	defer func() { t.queue = dropFront(t.queue, done) }()
+	for done < len(t.queue) {
 		if t.budget <= 0 {
 			t.pendingDrain = true
 			return nil
 		}
-		head := t.queue[0]
+		head := t.queue[done]
 		switch t.classify(head) {
 		case classCommitted:
-			t.queue = t.queue[1:]
+			done++
 			if err := t.processBatch(head); err != nil {
 				return err
 			}
 		case classUncommitted:
-			t.queue = t.queue[1:]
+			done++
 			t.Metrics.DroppedUncommitted.Add(uint64(len(head.batch.Records)))
 			t.activity = true
 		case classUnknown:
@@ -785,6 +795,19 @@ func (t *Task) drain() error {
 	}
 	t.pendingDrain = false
 	return nil
+}
+
+// dropFront removes the first n entries of an unknown-state queue in
+// place. Unlike q = q[n:], which walks the backing array forward until
+// every append reallocates, it keeps the array for the next ingest; the
+// vacated tail is cleared so it pins no batch.
+func dropFront(q []queuedBatch, n int) []queuedBatch {
+	if n == 0 {
+		return q
+	}
+	m := copy(q, q[n:])
+	clear(q[m:])
+	return q[:m]
 }
 
 func (t *Task) classify(q queuedBatch) classification {
@@ -855,7 +878,7 @@ func (t *Task) invokeProcessor(port int, d Datum) (err error) {
 			err = RecoverChainError(r)
 		}
 	}()
-	return t.proc.Process(port, d, t.emit)
+	return t.proc.Process(port, d, t.emitFn)
 }
 
 // persistSeq mirrors duplicate-suppression state into the state store
@@ -866,9 +889,14 @@ func (t *Task) persistSeq(sk seqKey) {
 	if !t.stage.Stateful && t.env.Protocol != ProtoAlignedCheckpoint {
 		return
 	}
+	key, ok := t.seqKeys[sk]
+	if !ok {
+		key = seqStoreKey(sk)
+		t.seqKeys[sk] = key
+	}
 	var buf [8]byte
 	putUint64(buf[:], t.lastSeq[sk])
-	t.store.Put(seqStoreKey(sk), buf[:])
+	t.store.Put(key, buf[:])
 }
 
 // seqStoreKey is the state-store key mirroring one (group, producer)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"time"
 )
 
@@ -98,6 +97,10 @@ type windowAggregate struct {
 	agg  Aggregator
 	mode WindowEmit
 	ctx  ProcContext
+	// wmKey is the watermark's state key, built once in Open; scratch is
+	// where stateKey assembles keys, so a key costs only its string.
+	wmKey   string
+	scratch []byte
 }
 
 // WindowAggregate aggregates records per (window, key). Emitted records
@@ -108,6 +111,7 @@ func WindowAggregate(name string, spec WindowSpec, mode WindowEmit, agg Aggregat
 
 func (w *windowAggregate) Open(ctx ProcContext) error {
 	w.ctx = ctx
+	w.wmKey = w.name + "/wm"
 	return nil
 }
 
@@ -125,7 +129,9 @@ func (w *windowAggregate) Process(_ int, d Datum, emit Emit) error {
 	wm := w.watermark(st)
 	if d.EventTime > wm {
 		wm = d.EventTime
-		st.Put(w.name+"/wm", binary.LittleEndian.AppendUint64(nil, uint64(wm)))
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], uint64(wm))
+		st.Put(w.wmKey, buf[:])
 	}
 
 	for _, b := range w.spec.windowsFor(d.EventTime) {
@@ -148,16 +154,20 @@ func (w *windowAggregate) Process(_ int, d Datum, emit Emit) error {
 }
 
 func (w *windowAggregate) watermark(st *StateStore) int64 {
-	if v, ok := st.Get(w.name + "/wm"); ok && len(v) == 8 {
+	if v, ok := st.Get(w.wmKey); ok && len(v) == 8 {
 		return int64(binary.LittleEndian.Uint64(v))
 	}
 	return -1
 }
 
 func (w *windowAggregate) stateKey(start int64, key []byte) string {
-	var sb [8]byte
-	binary.BigEndian.PutUint64(sb[:], uint64(start))
-	return fmt.Sprintf("%s/w/%s/%s", w.name, sb[:], key)
+	b := append(w.scratch[:0], w.name...)
+	b = append(b, "/w/"...)
+	b = binary.BigEndian.AppendUint64(b, uint64(start))
+	b = append(b, '/')
+	b = append(b, key...)
+	w.scratch = b
+	return string(b)
 }
 
 // fireExpired emits and deletes every window whose end+grace has passed
