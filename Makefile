@@ -39,8 +39,9 @@ race:
 	$(GO) test -race . ./internal/sharedlog/... ./internal/core/...
 
 # chaos runs the short seeded chaos suite under the race detector:
-# NEXMark queries under deterministic fault schedules (task kills,
-# zombies, shard crashes, partitions) with exactly-once verification.
+# NEXMark queries under deterministic fault plans (task kills, zombies,
+# shard crashes, partitions, sink kills, power cuts, live rescales) with
+# exactly-once verification.
 chaos:
 	$(GO) test -race -short -run 'TestChaos|TestGenPlan' ./internal/chaos/ -timeout 300s
 
@@ -70,7 +71,7 @@ fuzz-smoke:
 alloc:
 	$(GO) test -run 'Alloc' ./internal/sharedlog/ ./internal/core/ -v
 
-# smoke runs four short impeller-bench experiments as fast siblings of
+# smoke runs three short impeller-bench experiments as fast siblings of
 # the chaos gate; the full runs with the committed numbers are in
 # results/ (see EXPERIMENTS.md).
 #  - scaling: a two-point curve of the sharded ordering plane (4 ordering
@@ -78,18 +79,11 @@ alloc:
 #  - egress: transactional sink delivery — delivered-record latency per
 #    protocol, then chaos-verified recovery from hard sink kills with the
 #    replacement resuming from the persisted ack frontier.
-#  - tasklet-smoke: the same deterministic NEXMark pipeline on the
-#    goroutine and tasklet engines; fails on any output divergence
-#    (oracle-verified, value-exact).
-#  - rescale: the oracle-verified chaos cells (live splits/merges with
-#    the rescaler killed mid-transition, exactly-once checked at the
-#    consumer, both engines), then a scripted mid-run split through the
-#    public API.
+#  - rescale: a scripted mid-run split through the public API under a
+#    step load (the oracle-verified rescale chaos cells run in `chaos`).
 smoke:
 	$(GO) run ./cmd/impeller-bench -exp scaling -shards 1,4 -clients 96 -duration 600ms
 	$(GO) run ./cmd/impeller-bench -exp egress -duration 800ms -scale 0.05
-	$(GO) run ./cmd/impeller-bench -exp tasklet-smoke
-	$(GO) test -race -run 'TestChaosRescale' ./internal/chaos/ -timeout 300s
 	$(GO) run ./cmd/impeller-bench -exp rescale -duration 2s -scale 0.05
 
 # bench-gate runs every benchmark workload once (seed 1, 5 s) and fails

@@ -63,10 +63,8 @@ var experiments = []struct {
 		experiment(bench.RunDurability, bench.PrintDurability, bench.WriteDurabilityCSV)},
 	{"tail", "deep-tail latency vs task density, goroutine vs tasklet engine (-query -rate -tpc)",
 		experiment(bench.RunTail, bench.PrintTail, bench.WriteTailCSV)},
-	{"tasklet-smoke", "output equivalence of the two engines, oracle-verified (-query)",
-		experiment(bench.RunTaskletSmoke, bench.PrintSmoke, nil)},
 	{"rescale", "live parallelism doubling under a step load (-query -rate)",
-		experiment(bench.RunRescaleBench, bench.PrintRescaleBench, bench.WriteRescaleCSV)},
+		experiment(bench.RunElastic, bench.PrintElastic, bench.WriteElasticCSV)},
 }
 
 // experiment makes a table entry's run from an experiment's three

@@ -35,7 +35,7 @@ func RunChaosTable(p Params, progress io.Writer) ([]*chaos.Result, error) {
 	for _, seed := range chaosSeeds {
 		for _, q := range queries {
 			for _, proto := range paperProtocols {
-				res, err := chaos.Run(chaos.Config{Query: q, Protocol: proto, Seed: seed, Engine: p.Engine})
+				res, err := chaos.Run(chaos.Config{Query: q, Protocol: proto, Seed: seed, Engine: p.Engine, Faults: chaos.DefaultFaults})
 				if err != nil {
 					return rows, err
 				}

@@ -170,10 +170,10 @@ func WriteDurabilityCSV(w io.Writer, res *DurabilityResult) error {
 		out)
 }
 
-// WriteRescaleCSV exports the step-load rescale experiment: one row per
+// WriteElasticCSV exports the step-load rescale experiment: one row per
 // goodput bucket, stamped with the slot count and assignment epoch in
 // force, plus a final summary row (empty bucket columns).
-func WriteRescaleCSV(w io.Writer, r *RescaleBenchResult) error {
+func WriteElasticCSV(w io.Writer, r *ElasticResult) error {
 	u64 := func(v uint64) string { return strconv.FormatUint(v, 10) }
 	var out [][]string
 	for _, b := range r.Timeline {

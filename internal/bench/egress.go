@@ -55,7 +55,7 @@ func RunEgress(p Params, progress io.Writer) (*EgressResult, error) {
 	}
 	for _, proto := range paperProtocols {
 		for _, seed := range egressSeeds {
-			row, err := chaos.Run(chaos.Config{Query: p.Query, Protocol: proto, Seed: seed, Engine: p.Engine})
+			row, err := chaos.Run(chaos.Config{Query: p.Query, Protocol: proto, Seed: seed, Engine: p.Engine, Faults: chaos.DefaultFaults})
 			if err != nil {
 				return res, err
 			}

@@ -48,8 +48,8 @@ func (b RescaleBucket) Goodput() float64 {
 	return float64(b.Delivered) / rescaleBucket.Seconds()
 }
 
-// RescaleBenchResult is the outcome of one step-load rescale run.
-type RescaleBenchResult struct {
+// ElasticResult is the outcome of one step-load rescale run.
+type ElasticResult struct {
 	// Query ran at Rate events/s before the step and 2×Rate after it.
 	Query, Rate int
 	Timeline    []RescaleBucket
@@ -77,12 +77,12 @@ type RescaleBenchResult struct {
 	CondFailed      uint64
 }
 
-// RunRescaleBench executes the step-load rescale experiment on p.Query
+// RunElastic executes the step-load rescale experiment on p.Query
 // (default 1 — stateless, so the dip isolates the assignment switch
 // itself; no state migrates) at p.Rate before the step and twice that
 // after it (default 4000 events/s), for p.Duration in all (default 6 s;
 // the step lands halfway).
-func RunRescaleBench(p Params, progress io.Writer) (*RescaleBenchResult, error) {
+func RunElastic(p Params, progress io.Writer) (*ElasticResult, error) {
 	p = p.or(1, 4000, 6*time.Second)
 	cfg := p.cluster(impeller.ProgressMarker)
 	cfg.CommitInterval = rescaleCommit
@@ -114,7 +114,7 @@ func RunRescaleBench(p Params, progress io.Writer) (*RescaleBenchResult, error) 
 	})
 
 	// Load plane: rate R until the step, 2R after, paced in 5 ms ticks.
-	res := &RescaleBenchResult{Query: p.Query, Rate: p.Rate, StepAt: p.Duration / 2}
+	res := &ElasticResult{Query: p.Query, Rate: p.Rate, StepAt: p.Duration / 2}
 	gen := nexmark.NewGenerator(17)
 	seq := 0
 	var sent uint64
@@ -250,9 +250,9 @@ func meanGoodput(tl []RescaleBucket, from, to int) float64 {
 	return float64(sum) / (float64(to-from) * rescaleBucket.Seconds())
 }
 
-// PrintRescaleBench renders the run: the summary line the experiment is
+// PrintElastic renders the run: the summary line the experiment is
 // about, then the goodput timeline with the step marked.
-func PrintRescaleBench(w io.Writer, r *RescaleBenchResult) {
+func PrintElastic(w io.Writer, r *ElasticResult) {
 	fmt.Fprintf(w, "Rescale: NEXMark Q%d step load %d→%d events/s, %d→%d slots at t=%v (epoch %d)\n",
 		r.Query, r.Rate, 2*r.Rate, rescaleSlots, 2*rescaleSlots, r.StepAt, r.Epoch)
 	fmt.Fprintf(w, "  rescale call %v · steady %.0f → %.0f ev/s · dip min %.0f ev/s (depth %.0f%%, %v under 90%%) · re-steady in %v · fenced appends %d\n",

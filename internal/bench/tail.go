@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"impeller"
-	"impeller/internal/chaos"
 )
 
 // Tail-latency comparison (-exp tail): the cooperative tasklet engine
@@ -113,58 +112,4 @@ func WriteTailCSV(w io.Writer, points []TailPoint) error {
 		[]string{"engine", "tasks_per_core", "tasks", "rate_eps",
 			"p50_us", "p99_us", "p999_us", "p9999_us", "mean_us", "received"},
 		out)
-}
-
-// SmokeRow is one engine's smoke outcome.
-type SmokeRow struct {
-	Query     int
-	Engine    impeller.EngineMode
-	Delivered uint64
-	Elapsed   time.Duration
-}
-
-// RunTaskletSmoke runs one short, fully deterministic NEXMark pipeline
-// end to end on each engine — seeded inputs, no faults — and verifies
-// both against the chaos oracle's expected output set. The oracle check
-// is value-exact, so two converged runs imply identical outputs; on top
-// of that the distinct delivered counts must match, or the engines have
-// diverged.
-func RunTaskletSmoke(p Params, progress io.Writer) ([]SmokeRow, error) {
-	query := p.or(1, 0, 0).Query // the other fields do not apply
-	var rows []SmokeRow
-	for _, engine := range []impeller.EngineMode{impeller.EngineGoroutine, impeller.EngineTasklet} {
-		res, err := chaos.Run(chaos.Config{
-			Query: query, Protocol: impeller.ProgressMarker, Seed: 7, Engine: engine,
-			InfraFaults: -1, Kills: -1, Zombies: -1, NodeCrashes: -1,
-			SinkKills: -1, ConsumerFaults: -1,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("tasklet-smoke: %v engine: %w", engine, err)
-		}
-		if res.Violation != "" {
-			return nil, fmt.Errorf("tasklet-smoke: %v engine: exactly-once violation: %s", engine, res.Violation)
-		}
-		if !res.Converged {
-			return nil, fmt.Errorf("tasklet-smoke: %v engine: output never converged (delivered %d)", engine, res.Delivered)
-		}
-		rows = append(rows, SmokeRow{Query: query, Engine: engine, Delivered: res.Delivered, Elapsed: res.Elapsed})
-		if progress != nil {
-			fmt.Fprintf(progress, "  %s\n", res)
-		}
-	}
-	if rows[0].Delivered != rows[1].Delivered {
-		return rows, fmt.Errorf("tasklet-smoke: engines diverged: goroutine delivered %d records, tasklet %d",
-			rows[0].Delivered, rows[1].Delivered)
-	}
-	return rows, nil
-}
-
-// PrintSmoke renders the smoke outcome.
-func PrintSmoke(w io.Writer, rows []SmokeRow) {
-	fmt.Fprintf(w, "Tasklet smoke: Q%d end to end on both engines, oracle-verified\n", rows[0].Query)
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-10s delivered=%-6d elapsed=%v\n",
-			r.Engine, r.Delivered, r.Elapsed.Round(time.Millisecond))
-	}
-	fmt.Fprintln(w, "  no divergence: both engines converged to the oracle's expected output")
 }

@@ -1,19 +1,17 @@
 // Package chaos is a deterministic fault-injection harness: it runs a
-// full NEXMark query under a seeded schedule of crashes, partitions,
-// latency spikes, task kills, and zombie resurrections, and verifies
-// the exactly-once output invariant against an oracle replay of the
-// inputs. The same (seed, config) pair always generates the same fault
+// full NEXMark query under a seeded plan of faults and phases and
+// verifies the exactly-once output invariant against an oracle replay
+// of the inputs. The same (seed, config) pair always generates the same
 // plan, so a failing run reproduces.
 //
-// The harness exercises both fault planes:
+// One runner, Run, plays every plan. Its planes and phases:
 //
 //   - infrastructure faults (log-shard and sequencer-shard crashes,
 //     client↔sequencer and client↔shard partitions, sequencer/shard
 //     latency spikes) come from sim.GenFaultSchedule and stress the
 //     log's replication, its sharded ordering plane (the log runs in
-//     sequencer mode here, so cuts race crashes and delays of
-//     individual local sequencers), and the runtime's transient-fault
-//     retry layer;
+//     sequencer mode, so cuts race crashes and delays of individual
+//     local sequencers), and the runtime's transient-fault retry layer;
 //   - process faults (task kills, double-kills that land mid-recovery,
 //     zombie resurrection via Manager.Zombify, compute-node crashes)
 //     come from a second deterministic stream and stress recovery,
@@ -21,30 +19,36 @@
 //   - egress faults (hard kills of the delivery sink mid-delivery,
 //     consumer transient outages, latency spikes, and lost
 //     acknowledgments) come from a third deterministic stream and
-//     stress the transactional egress layer: every run delivers its
-//     output through a DeliverySink to an external consumer, the
-//     killed sink's replacement resumes from the persisted ack
-//     frontier, and the oracle verifies exactly-once at the consumer's
-//     applied set — the system boundary, not the commit point.
+//     stress the transactional egress layer;
+//   - a power cut halfway through the input, optionally corrupting the
+//     WAL device, after which a second cluster recovers from the device
+//     and the checkpoint store's image and finishes the run;
+//   - a rescale schedule: live splits and merges of the query's primary
+//     stage, each preceded by doomed rescalers killed mid-transition.
+//
+// Every run delivers its output through a DeliverySink to an external
+// consumer whose state outlives sink incarnations and clusters, and the
+// oracle verifies exactly-once at the consumer's applied set — the
+// system boundary, not the commit point.
 package chaos
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"impeller"
 	"impeller/internal/core"
-	"impeller/internal/nexmark"
+	"impeller/internal/sharedlog"
 	"impeller/internal/sim"
 )
 
-// Config parameterizes one chaos run. The zero value is not runnable;
-// Query must be one of 1, 8, 11, 12 (the queries with closed-form
-// output oracles).
+// Config parameterizes one chaos run. Query must be one of 1, 8, 11, 12
+// (the queries with closed-form output oracles). Every other zero value
+// means "none": no faults, no power cut, no rescale — a plain end-to-end
+// run whose output the oracle still verifies.
 type Config struct {
 	// Query selects the NEXMark query: 1 (stateless map), 8 (two-input
 	// windowed join — the only one whose tasks read several substreams
@@ -53,116 +57,103 @@ type Config struct {
 	Query int
 	// Protocol selects the fault-tolerance protocol under test.
 	Protocol impeller.Protocol
-	// Seed fixes the fault plan, the generators, and the log simulation
-	// (0 uses 1).
+	// Seed fixes the plan, the generators, and the log simulation (0
+	// uses 1).
 	Seed uint64
-	// Events is the input count per generator (default 600).
-	Events int
-	// Parallelism is the per-stage task count (default 2).
-	Parallelism int
-	// Generators is the number of ingress writers (default 2).
-	Generators int
-	// CommitInterval is the protocol's commit interval (default 20 ms —
-	// short, so faults land between many commit points).
-	CommitInterval time.Duration
-	// InfraFaults is the number of log-side faults to schedule via
-	// sim.GenFaultSchedule (default 8).
-	InfraFaults int
-	// Kills is the number of task kills (default 8); every third kill
-	// is a double-kill whose second kill lands while the replacement is
+	// Engine selects the task execution engine (goroutine or tasklet);
+	// both must satisfy the same exactly-once oracle.
+	Engine impeller.EngineMode
+	// OrderingShards is the number of local sequencer shards of the
+	// log's Scalog-style ordering plane, each an individual crash/delay
+	// target of the infra schedule (0 uses 2).
+	OrderingShards int
+	// Faults sizes the fault planes played across the input window.
+	Faults Faults
+	// PowerCut pulls the plug on the whole cluster once the first half
+	// of the input is in the log: the log is closed mid-flight, the
+	// tasks die, Corruption is applied to the WAL device, and a second
+	// cluster recovers from the device and the checkpoint store's image,
+	// reattaches the same consumer and is sent the rest.
+	PowerCut bool
+	// Corruption is the storage fault applied while the power is out.
+	Corruption Corruption
+	// MidFlight pulls the plug as soon as the first half is durable
+	// instead of waiting for it to converge: tasks die mid-computation,
+	// the sink is hard-killed (no drain, no final frontier), and
+	// recovery must finish the interrupted work from the log and the
+	// checkpoint store alone.
+	MidFlight bool
+	// Rescale plays a seed-derived schedule of live rescales of the
+	// query's primary stage (progress-marker protocol only).
+	Rescale bool
+}
+
+// Faults counts the faults each plane injects; the zero value injects
+// none.
+type Faults struct {
+	// Infra is the number of log-side faults, via sim.GenFaultSchedule.
+	Infra int
+	// Kills is the number of task kills; every third kill is a
+	// double-kill whose second kill lands while the replacement is
 	// recovering.
 	Kills int
-	// Zombies is the number of zombie resurrections (default 4). The
+	// Zombies is the number of zombie resurrections. The
 	// aligned-checkpoint protocol has no zombie fencing race (recovery
 	// is epoch-gated by the coordinator), so its zombies are converted
 	// to kills to keep the fault count.
 	Zombies int
-	// NodeCrashes is the number of compute-node crash/recover pairs
-	// (default 2); a crashed node fails every log operation of its
-	// task, exercising the fatal path of the retry layer and the
-	// manager's restart backoff.
+	// NodeCrashes is the number of compute-node crash/recover pairs; a
+	// crashed node fails every log operation of its task, exercising the
+	// fatal path of the retry layer and the manager's restart backoff.
 	NodeCrashes int
-	// OrderingShards runs the log in Scalog-style sequencer mode with
-	// that many local sequencer shards, each an individual crash/delay
-	// target of the infra schedule (default 2; negative runs immediate
-	// ordering, the pre-split configuration). OrderingInterval is the
-	// global cut interval (default 1 ms).
-	OrderingShards   int
-	OrderingInterval time.Duration
-	// SinkKills is the number of hard egress-sink kills (default 2;
-	// negative disables). Each kill cancels the delivery sink's context
-	// mid-delivery — no drain, no final frontier — and a fresh
-	// incarnation resumes from the last persisted ack frontier.
+	// SinkKills is the number of hard egress-sink kills. Each cancels
+	// the delivery sink's context mid-delivery — no drain, no final
+	// frontier — and a fresh incarnation resumes from the last persisted
+	// ack frontier.
 	SinkKills int
-	// ConsumerFaults is the number of consumer-side fault windows
-	// (default 10; negative disables): transient-error outages, latency
-	// spikes, and lost acknowledgments, via sim.GenConsumerSchedule.
-	ConsumerFaults int
-	// Duration is the fault window; inputs are paced across it and
-	// every fault starts inside it (default 1.2 s).
-	Duration time.Duration
-	// Timeout bounds how long the run may take to converge after the
-	// faults heal (default 30 s).
-	Timeout time.Duration
-	// Engine selects the task execution engine (goroutine or tasklet);
-	// both must satisfy the same exactly-once oracle.
-	Engine impeller.EngineMode
+	// Consumer is the number of consumer-side fault windows: transient
+	// outages, latency spikes, and lost acknowledgments, via
+	// sim.GenConsumerSchedule.
+	Consumer int
 }
+
+// DefaultFaults is the chaos matrix's full mix: at least 20 faults
+// across the log, process and egress planes.
+var DefaultFaults = Faults{Infra: 8, Kills: 8, Zombies: 4, NodeCrashes: 2, SinkKills: 2, Consumer: 10}
+
+// The run's fixed shape. No cell varies these.
+const (
+	// events is the input count per generator; generators is the number
+	// of ingress writers.
+	events     = 600
+	generators = 2
+	// parallelism is the per-stage task count (a rescaled stage's
+	// initial slot count); maxParallelism is a rescaled stage's
+	// key-group count — the rescale ceiling.
+	parallelism    = 2
+	maxParallelism = 8
+	// rescaleSteps is the length of a rescale schedule.
+	rescaleSteps = 3
+	// commitInterval is short, so faults land between many commit
+	// points; orderingInterval is the log's global cut interval.
+	commitInterval   = 20 * time.Millisecond
+	orderingInterval = time.Millisecond
+	// faultWindow is the input window: inputs are paced across it and
+	// every fault and rescale step starts inside it.
+	faultWindow = 1200 * time.Millisecond
+	// convergeTimeout bounds the wait for the output to converge once
+	// the faults heal (and, before a power cut, for the first half's).
+	convergeTimeout = 30 * time.Second
+	// logShards mirrors the cluster default (4 shards, replication 3).
+	logShards = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Events <= 0 {
-		c.Events = 600
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 2
-	}
-	if c.Generators <= 0 {
-		c.Generators = 2
-	}
-	if c.CommitInterval <= 0 {
-		c.CommitInterval = 20 * time.Millisecond
-	}
-	// Negative fault counts disable that plane (fault-free runs for
-	// engine-equivalence checks); zero selects the default. Negatives
-	// survive defaulting — withDefaults is applied both by Run and by
-	// GenPlan, so mapping them to zero here would resurrect the default
-	// on the second pass — and are clamped to zero at the use sites.
-	if c.InfraFaults == 0 {
-		c.InfraFaults = 8
-	}
-	if c.Kills == 0 {
-		c.Kills = 8
-	}
-	if c.Zombies == 0 {
-		c.Zombies = 4
-	}
-	if c.NodeCrashes == 0 {
-		c.NodeCrashes = 2
-	}
-	if c.OrderingShards < 0 {
-		c.OrderingInterval = 0 // immediate ordering, no shard layer
-	} else {
-		if c.OrderingShards == 0 {
-			c.OrderingShards = 2
-		}
-		if c.OrderingInterval <= 0 {
-			c.OrderingInterval = time.Millisecond
-		}
-	}
-	if c.SinkKills == 0 {
-		c.SinkKills = 2
-	}
-	if c.ConsumerFaults == 0 {
-		c.ConsumerFaults = 10
-	}
-	if c.Duration <= 0 {
-		c.Duration = 1200 * time.Millisecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
+	if c.OrderingShards == 0 {
+		c.OrderingShards = 2
 	}
 	return c
 }
@@ -202,14 +193,22 @@ func (k FaultKind) String() string {
 // TaskFault is one scheduled process fault at offset At from the start
 // of the run.
 type TaskFault struct {
-	At     time.Duration
-	Kind   FaultKind
-	Target impeller.TaskID
+	At   time.Duration
+	Kind FaultKind
+	// Target picks the fault's task when it fires: it indexes the live
+	// task list (Manager.TaskIDs), modulo its length. The plan names a
+	// draw rather than a task because a rescale changes the task set.
+	Target int
 	// Outage is how long a CrashNode fault lasts.
 	Outage time.Duration
 }
 
-// Plan is the full deterministic fault plan of one run.
+// target resolves the fault's task against the live task list.
+func (f TaskFault) target(ids []impeller.TaskID) impeller.TaskID {
+	return ids[f.Target%len(ids)]
+}
+
+// Plan is the full deterministic plan of one run.
 type Plan struct {
 	// Infra is the log-side schedule (shard crashes, partitions,
 	// latency spikes), played by sim.FaultSchedule.Play.
@@ -221,30 +220,32 @@ type Plan struct {
 	SinkKills []time.Duration
 	// Consumer is the consumer-side fault schedule.
 	Consumer sim.ConsumerSchedule
+	// Steps are the rescale schedule's committed slot counts, in order.
+	Steps []int
 	// Faults counts injected faults across all planes (a double-kill
-	// counts twice; recoveries are not faults).
+	// counts twice, and so does a rescale step's pair of doomed
+	// attempts; recoveries are not faults).
 	Faults int
 }
 
-// logShards mirrors the cluster default (4 shards, replication 3).
-const logShards = 3 + 1
-
 // planSeedSalt decouples the process-fault stream from the infra
 // schedule's randomness so tuning one plane does not reshuffle the
-// other.
-const planSeedSalt = 0x9e3779b97f4a7c15
+// other; egressSeedSalt and rescaleSeedSalt likewise decouple the
+// egress plane and the rescale schedule.
+const (
+	planSeedSalt    = 0x9e3779b97f4a7c15
+	egressSeedSalt  = 0xc2b2ae3d27d4eb4f
+	rescaleSeedSalt = 0xa0761d6478bd642f
+)
 
-// egressSeedSalt likewise decouples the egress plane (sink kills and
-// consumer faults) from the other two.
-const egressSeedSalt = 0xc2b2ae3d27d4eb4f
-
-// GenPlan deterministically generates the fault plan for a run over
-// the given task set. The same (cfg, targets) always yields the same
-// plan. Kills land anywhere in the window; zombies land in its first
-// 70% so input keeps flowing while the zombie races its replacement —
-// that race is what forces a fenced append onto the log.
-func GenPlan(cfg Config, targets []impeller.TaskID) Plan {
+// GenPlan deterministically generates the plan for a run: the same
+// config always yields the same plan. Kills land anywhere in the window;
+// zombies land in its first 70% so input keeps flowing while the zombie
+// races its replacement — that race is what forces a fenced append onto
+// the log.
+func GenPlan(cfg Config) Plan {
 	cfg = cfg.withDefaults()
+	f := cfg.Faults
 	shards := make([]string, logShards)
 	pairs := [][2]string{{"client", "sequencer"}}
 	for i := range shards {
@@ -256,22 +257,22 @@ func GenPlan(cfg Config, targets []impeller.TaskID) Plan {
 	// to it), without ever drawing down the storage quorum's outage
 	// budget. They are also slowable — a slow local sequencer stalls the
 	// global cut — and partitionable from clients.
-	seqShards := make([]string, max(0, cfg.OrderingShards))
+	seqShards := make([]string, cfg.OrderingShards)
 	for i := range seqShards {
 		seqShards[i] = fmt.Sprintf("sequencer/%d", i)
 		pairs = append(pairs, [2]string{"client", seqShards[i]})
 	}
 	var plan Plan
-	if cfg.InfraFaults > 0 {
+	if f.Infra > 0 {
 		// sim defaults Faults <= 0 back to 8, so a disabled infra plane
 		// must skip generation entirely rather than ask for zero.
 		plan.Infra = sim.GenFaultSchedule(cfg.Seed, sim.ScheduleConfig{
-			Duration:   cfg.Duration,
+			Duration:   faultWindow,
 			Crashable:  shards,
 			CrashableB: seqShards,
 			Pairs:      pairs,
 			Slowable:   append(append([]string{"sequencer"}, shards...), seqShards...),
-			Faults:     cfg.InfraFaults,
+			Faults:     f.Infra,
 			// Replication 3 over 4 shards: two concurrent shard crashes
 			// still leave every LSN with a live replica.
 			MaxDown: 2,
@@ -287,56 +288,50 @@ func GenPlan(cfg Config, targets []impeller.TaskID) Plan {
 	// mid-stream restart), early enough that input still flows while the
 	// replacement catches up. Consumer fault windows cover the whole run.
 	ern := sim.NewRand(cfg.Seed ^ egressSeedSalt)
-	for i := 0; i < max(0, cfg.SinkKills); i++ {
-		lo, hi := cfg.Duration/4, cfg.Duration*9/10
+	for i := 0; i < f.SinkKills; i++ {
+		lo, hi := faultWindow/4, faultWindow*9/10
 		plan.SinkKills = append(plan.SinkKills, lo+time.Duration(ern.Int63()%int64(hi-lo)))
 		plan.Faults++
 	}
 	sort.Slice(plan.SinkKills, func(i, j int) bool { return plan.SinkKills[i] < plan.SinkKills[j] })
-	if cfg.ConsumerFaults > 0 {
+	if f.Consumer > 0 {
 		plan.Consumer = sim.GenConsumerSchedule(cfg.Seed^egressSeedSalt, sim.ConsumerScheduleConfig{
-			Duration: cfg.Duration,
-			Faults:   cfg.ConsumerFaults,
+			Duration: faultWindow,
+			Faults:   f.Consumer,
 		})
 		plan.Faults += plan.Consumer.Faults
 	}
 
-	sorted := append([]impeller.TaskID(nil), targets...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if len(sorted) == 0 {
-		return plan
-	}
 	rng := sim.NewRand(cfg.Seed ^ planSeedSalt)
 	between := func(lo, hi time.Duration) time.Duration {
 		return lo + time.Duration(rng.Int63()%int64(hi-lo))
 	}
-	pick := func() impeller.TaskID { return sorted[rng.Intn(len(sorted))] }
-
-	kills, zombies := max(0, cfg.Kills), max(0, cfg.Zombies)
+	pick := func() int { return rng.Intn(math.MaxInt32) }
+	kills, zombies := f.Kills, f.Zombies
 	if cfg.Protocol == impeller.AlignedCheckpoint {
 		kills += zombies
 		zombies = 0
 	}
 	for i := 0; i < kills; i++ {
-		f := TaskFault{At: between(cfg.Duration/10, cfg.Duration), Kind: KillTask, Target: pick()}
+		t := TaskFault{At: between(faultWindow/10, faultWindow), Kind: KillTask, Target: pick()}
 		if i%3 == 0 {
-			f.Kind = DoubleKillTask
+			t.Kind = DoubleKillTask
 			plan.Faults++ // the second kill is its own fault
 		}
-		plan.Tasks = append(plan.Tasks, f)
+		plan.Tasks = append(plan.Tasks, t)
 		plan.Faults++
 	}
 	for i := 0; i < zombies; i++ {
 		plan.Tasks = append(plan.Tasks, TaskFault{
-			At:     between(cfg.Duration/5, cfg.Duration*7/10),
+			At:     between(faultWindow/5, faultWindow*7/10),
 			Kind:   ZombifyTask,
 			Target: pick(),
 		})
 		plan.Faults++
 	}
-	for i := 0; i < max(0, cfg.NodeCrashes); i++ {
+	for i := 0; i < f.NodeCrashes; i++ {
 		plan.Tasks = append(plan.Tasks, TaskFault{
-			At:     between(cfg.Duration/10, cfg.Duration*8/10),
+			At:     between(faultWindow/10, faultWindow*8/10),
 			Kind:   CrashNode,
 			Target: pick(),
 			Outage: between(30*time.Millisecond, 150*time.Millisecond),
@@ -344,6 +339,22 @@ func GenPlan(cfg Config, targets []impeller.TaskID) Plan {
 		plan.Faults++
 	}
 	sort.SliceStable(plan.Tasks, func(i, j int) bool { return plan.Tasks[i].At < plan.Tasks[j].At })
+
+	if cfg.Rescale {
+		// Alternate away from the current slot count so every step is a
+		// real transition.
+		rrng := sim.NewRand(cfg.Seed ^ rescaleSeedSalt)
+		cur := parallelism
+		for i := 0; i < rescaleSteps; i++ {
+			next := cur
+			for next == cur {
+				next = 1 + rrng.Intn(maxParallelism)
+			}
+			plan.Steps = append(plan.Steps, next)
+			plan.Faults += len(rescalerAbortPoints)
+			cur = next
+		}
+	}
 	return plan
 }
 
@@ -351,26 +362,29 @@ func GenPlan(cfg Config, targets []impeller.TaskID) Plan {
 type Result struct {
 	Config Config
 	Plan   Plan
-	// Sent counts input events accepted by the ingress writers; Bids is
-	// the subset the oracle tracks.
+	// Sent counts input events accepted by the ingress writers (after a
+	// power cut, the recovered cluster's); Bids is the subset the oracle
+	// tracks (for Q8: the owed pairs).
 	Sent uint64
 	Bids int
 	// Delivered is the external consumer's distinct applied count — the
-	// exactly-once measurement point. Duplicates / DroppedUncommitted
-	// are the gated sinks' counters summed across incarnations: replayed
-	// records suppressed by sequence-number dedup and uncommitted
-	// records discarded.
-	Delivered, Duplicates, DroppedUncommitted uint64
+	// exactly-once measurement point — across both clusters of a power
+	// cut. Duplicates is the gated sinks' count, summed across
+	// incarnations, of replayed records suppressed by sequence-number
+	// dedup.
+	Delivered, Duplicates uint64
 	// Delivery aggregates the delivery sinks' counters (attempts,
-	// redeliveries, transient errors, dead letters, frontier persists)
-	// across incarnations; SinkIncarnations counts delivery-sink
-	// processes (1 + kills).
+	// redeliveries, transient errors, dead letters, frontier persists,
+	// whether an incarnation resumed from a persisted frontier) across
+	// incarnations; SinkIncarnations counts delivery-sink processes
+	// (1 + kills). After a power cut both cover the recovered cluster's
+	// sink only.
 	Delivery         core.DeliveryStats
 	SinkIncarnations int
 	// ConsumerDeduped counts duplicate deliveries absorbed by the
-	// consumer's sequence-number dedupe (sink restarts, lost acks);
-	// ConsumerAcksLost counts acknowledgments the fault plane dropped
-	// after the record was applied.
+	// consumer's sequence-number dedupe (sink restarts, lost acks, a
+	// power cut's replay); ConsumerAcksLost counts acknowledgments the
+	// fault plane dropped after the record was applied.
 	ConsumerDeduped, ConsumerAcksLost uint64
 	// RecoverToDeliver is the longest gap between a sink kill and the
 	// replacement's first successful delivery.
@@ -378,22 +392,40 @@ type Result struct {
 	// Restarts sums task restarts; Zombified counts exactly the zombies
 	// actually planted: Manager.Zombify refuses an instance that has
 	// already exited, so a zombify racing a concurrent kill/restart is
-	// reported as an error and not counted.
+	// not counted.
 	Restarts, Zombified int
-	// Retries / CondFailed / DecodeFailures observe the retry layer,
-	// the log's fencing rejections, and corrupt-checkpoint fallbacks.
-	Retries, CondFailed, DecodeFailures uint64
+	// Retries / CondFailed observe the retry layer and the log's fencing
+	// rejections.
+	Retries, CondFailed uint64
 	// MaxRecovery is the longest single task recovery.
 	MaxRecovery time.Duration
+
+	// Power cut. Phase1Converged reports the first half converged before
+	// the plug was pulled. Recovery snapshots the recovered log's
+	// counters (records and metadata ops replayed, WAL truncations);
+	// CkptTruncated is how many bytes of checkpoint-store WAL tail the
+	// recovery discarded; RecoveryTime is how long the second cluster
+	// took to come up and restart the query.
+	Phase1Converged bool
+	Recovery        sharedlog.Stats
+	CkptTruncated   int
+	RecoveryTime    time.Duration
+
+	// Rescale. Epochs are the committed assignment epochs after each
+	// step; Aborted counts the doomed attempts killed mid-transition.
+	Epochs  []uint64
+	Aborted int
+
 	// Converged reports whether the oracle's expected output was fully
-	// observed before Timeout; Violation is non-empty if the output
-	// ever contradicted exactly-once semantics (terminal).
+	// observed in time; Violation is non-empty if the output ever
+	// contradicted exactly-once semantics (terminal), or a rescale step
+	// misbehaved.
 	Converged bool
 	Violation string
 	// Stuck, set when the run neither converged nor violated, is where
-	// every task's input side stood at the timeout (stuckDump).
-	Stuck   string
-	Elapsed time.Duration
+	// every task's input side and the sink stood when the wait ran out
+	// (stuckDump).
+	Stuck string
 }
 
 // stuckDump renders, one line per task, where each task's input side
@@ -422,20 +454,39 @@ func stuckDump(mgr *core.Manager, sink *egressRunner) string {
 	return b.String()
 }
 
-// String renders one run as a table row (followed, for a stuck run, by
-// the per-task dump).
+// String renders one run as a table row, with the power-cut and rescale
+// columns when those phases ran (followed, for a stuck run, by the
+// per-task dump).
 func (r *Result) String() string {
-	status := "ok"
-	if r.Violation != "" {
-		status = "VIOLATION: " + r.Violation
-	} else if !r.Converged {
-		status = "STUCK" + r.Stuck
-	}
-	return fmt.Sprintf("q%-2d %-18s seed=%-3d faults=%-2d restarts=%-2d retries=%-4d fenced=%-2d maxrec=%-8v sinks=%d redel=%-3d dedup=%-3d rtd=%-8v %s",
+	var b strings.Builder
+	fmt.Fprintf(&b, "q%-2d %-18s seed=%-3d faults=%-2d restarts=%-2d retries=%-4d fenced=%-2d maxrec=%-8v sinks=%d delivered=%-4d redel=%-3d dedup=%-3d rtd=%-8v",
 		r.Config.Query, r.Config.Protocol, r.Config.Seed, r.Plan.Faults,
 		r.Restarts, r.Retries, r.CondFailed, r.MaxRecovery.Round(100*time.Microsecond),
-		r.SinkIncarnations, r.Delivery.Redelivered, r.ConsumerDeduped,
-		r.RecoverToDeliver.Round(100*time.Microsecond), status)
+		r.SinkIncarnations, r.Delivered, r.Delivery.Redelivered, r.ConsumerDeduped,
+		r.RecoverToDeliver.Round(100*time.Microsecond))
+	if r.Config.PowerCut {
+		fmt.Fprintf(&b, " cut=%s midflight=%v recovered=%d metaops=%d trunc=%d(%dB) ckpttrunc=%dB rec=%v resumed=%v",
+			r.Config.Corruption, r.Config.MidFlight,
+			r.Recovery.RecoveredRecords, r.Recovery.RecoveredMetaOps,
+			r.Recovery.WALTruncations, r.Recovery.WALTruncatedBytes, r.CkptTruncated,
+			r.RecoveryTime.Round(100*time.Microsecond), r.Delivery.Resumed)
+	}
+	if r.Config.Rescale {
+		epochs := make([]string, len(r.Epochs))
+		for i, e := range r.Epochs {
+			epochs[i] = fmt.Sprint(e)
+		}
+		fmt.Fprintf(&b, " steps=%v aborted=%d epochs=%s", r.Plan.Steps, r.Aborted, strings.Join(epochs, "→"))
+	}
+	switch {
+	case r.Violation != "":
+		b.WriteString(" VIOLATION: " + r.Violation)
+	case !r.Converged:
+		b.WriteString(" STUCK" + r.Stuck)
+	default:
+		b.WriteString(" ok")
+	}
+	return b.String()
 }
 
 // eventSpacing returns the synthetic event-time step for a query,
@@ -454,227 +505,3 @@ func eventSpacing(query int) int64 {
 // eventBase offsets synthetic event times so no tumbling window start
 // precedes time zero (negative window starts are dropped).
 const eventBase int64 = 1_000_000 // 1 s in µs
-
-// Run executes one chaos run: build the query, pace the input across
-// the fault window while both fault planes play their schedules, heal
-// everything, and poll the oracle until the output converges or the
-// invariant breaks.
-func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	orc, err := newOracle(cfg.Query)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-
-	cluster := impeller.NewCluster(impeller.ClusterConfig{
-		Protocol:             cfg.Protocol,
-		CommitInterval:       cfg.CommitInterval,
-		DefaultParallelism:   cfg.Parallelism,
-		IngressWriters:       cfg.Generators,
-		IngressFlushInterval: 5 * time.Millisecond,
-		LogShards:            logShards,
-		OrderingInterval:     cfg.OrderingInterval,
-		OrderingShards:       max(0, cfg.OrderingShards),
-		Seed:                 cfg.Seed,
-		Engine:               cfg.Engine,
-	})
-	defer cluster.Close()
-	topo, err := nexmark.BuildOpts(cfg.Query, nexmark.Options{PerUpdateWindows: true})
-	if err != nil {
-		return nil, err
-	}
-	app, err := cluster.Run(topo)
-	if err != nil {
-		return nil, err
-	}
-	defer app.Stop()
-	mgr := app.Manager()
-	// Short failure detection: a 20 ms commit interval pairs with fast
-	// heartbeats so kills are detected within a few commit points.
-	mgr.SetTimeouts(6*cfg.CommitInterval, cfg.CommitInterval)
-
-	plan := GenPlan(cfg, mgr.TaskIDs())
-	res := &Result{Config: cfg, Plan: plan}
-
-	// Egress: output flows through a transactional delivery sink to an
-	// external consumer whose state (and dedupe floors) outlives sink
-	// incarnations; the oracle watches the consumer's applied set. The
-	// consumer itself is wrapped in the plan's fault schedule.
-	runCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	outs := newOutputs(cfg.Query)
-	cons := newEgressConsumer(outs)
-	faulty := newFaultyConsumer(cons, plan.Consumer)
-	runner := newEgressRunner(app, nexmark.OutputStream(cfg.Query), faulty, core.DeliveryOptions{})
-	if !runner.launch(runCtx) {
-		return nil, fmt.Errorf("chaos: egress sink never started")
-	}
-
-	// Input: each generator paces Events records across the fault
-	// window with deterministic synthetic event times; the oracle
-	// records every event before it is sent.
-	var wg sync.WaitGroup
-	spacing := eventSpacing(cfg.Query)
-	pace := cfg.Duration / time.Duration(cfg.Events)
-	for g := 0; g < cfg.Generators; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			gen := nexmark.NewGenerator(cfg.Seed + uint64(g))
-			for i := 0; i < cfg.Events; i++ {
-				et := eventBase + int64(i)*spacing
-				ev := gen.Next(et)
-				key := []byte(fmt.Sprintf("%d-%d", g, i))
-				orc.record(key, ev.Payload)
-				if err := app.SendVia(nexmark.EventStream, g, key, ev.Payload, et); err != nil {
-					return
-				}
-				select {
-				case <-runCtx.Done():
-					return
-				case <-time.After(pace):
-				}
-			}
-		}(g)
-	}
-
-	// Fault planes. Play applies any outstanding recoveries when its
-	// context is cancelled, and Reset below heals whatever is left
-	// (e.g. node crashes whose recovery timer has not fired).
-	faults := cluster.Faults()
-	playCtx, stopPlay := context.WithCancel(runCtx)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		plan.Infra.Play(playCtx, nil, faults)
-	}()
-	// Egress fault plane: hard-kill the delivery sink at each scheduled
-	// instant and immediately start a replacement, which resumes from
-	// the persisted ack frontier.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t0 := time.Now()
-		for _, at := range plan.SinkKills {
-			if wait := at - time.Since(t0); wait > 0 {
-				select {
-				case <-runCtx.Done():
-					return
-				case <-time.After(wait):
-				}
-			}
-			runner.kill()
-			cons.noteRestart()
-			if !runner.launch(runCtx) {
-				return
-			}
-		}
-	}()
-	var zombified int64
-	var zmu sync.Mutex
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t0 := time.Now()
-		for _, f := range plan.Tasks {
-			if wait := f.At - time.Since(t0); wait > 0 {
-				select {
-				case <-runCtx.Done():
-					return
-				case <-time.After(wait):
-				}
-			}
-			switch f.Kind {
-			case KillTask:
-				_ = mgr.Kill(f.Target)
-			case DoubleKillTask:
-				_ = mgr.Kill(f.Target)
-				wg.Add(1)
-				go func(id impeller.TaskID) {
-					defer wg.Done()
-					// Three monitor ticks: enough for the replacement to
-					// spawn and enter recovery before the second kill.
-					select {
-					case <-runCtx.Done():
-					case <-time.After(3 * cfg.CommitInterval):
-						_ = mgr.Kill(id)
-					}
-				}(f.Target)
-			case ZombifyTask:
-				if mgr.Zombify(f.Target) == nil {
-					zmu.Lock()
-					zombified++
-					zmu.Unlock()
-				}
-			case CrashNode:
-				node := core.ComputeNode(core.TaskID(f.Target))
-				faults.Crash(node)
-				wg.Add(1)
-				go func(outage time.Duration) {
-					defer wg.Done()
-					select {
-					case <-runCtx.Done():
-					case <-time.After(outage):
-					}
-					faults.Recover(node)
-				}(f.Outage)
-			}
-		}
-	}()
-
-	// Wait for the senders and both fault planes, then heal the world:
-	// from here on the run must converge on its own.
-	wg.Wait()
-	stopPlay()
-	faults.Reset()
-
-	deadline := start.Add(cfg.Timeout)
-	for {
-		done, violation := orc.check(outs)
-		if violation != "" {
-			res.Violation = violation
-			break
-		}
-		if done {
-			res.Converged = true
-			break
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	if !res.Converged && res.Violation == "" {
-		res.Stuck = stuckDump(mgr, runner)
-	}
-
-	// Graceful final stop: drain the window, persist the last frontier,
-	// then collect the egress counters aggregated across incarnations.
-	runner.finish()
-	stats, counts, incarnations := runner.snapshot()
-	res.Delivery = stats
-	res.SinkIncarnations = incarnations
-	res.Duplicates, res.DroppedUncommitted = counts.Duplicates, counts.DroppedUncommitted
-	res.Delivered, res.ConsumerDeduped, res.RecoverToDeliver = cons.snapshot()
-	_, _, res.ConsumerAcksLost = faulty.injected()
-
-	res.Sent = app.InputCount()
-	res.Bids = orc.inputs()
-	res.Zombified = int(zombified)
-	for _, id := range mgr.TaskIDs() {
-		res.Restarts += mgr.Restarts(id)
-		if m := mgr.TaskMetrics(id); m != nil {
-			if d := time.Duration(m.RecoveryNanos.Load()); d > res.MaxRecovery {
-				res.MaxRecovery = d
-			}
-		}
-	}
-	qm := app.Metrics()
-	res.Retries = qm.Retries
-	res.DecodeFailures = qm.CheckpointDecodeFailures
-	res.CondFailed = cluster.LogStats().CondFailed
-	res.Elapsed = time.Since(start)
-	return res, nil
-}

@@ -1,12 +1,15 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
-	"time"
 
 	"impeller"
+	"impeller/internal/nexmark"
 )
 
 var protocols = []impeller.Protocol{
@@ -29,7 +32,7 @@ func TestChaos(t *testing.T) {
 			proto, query := proto, query
 			t.Run(fmt.Sprintf("q%d-%s", query, proto), func(t *testing.T) {
 				t.Parallel()
-				res, err := Run(Config{Query: query, Protocol: proto, Seed: 7})
+				res, err := Run(Config{Query: query, Protocol: proto, Seed: 7, Faults: DefaultFaults})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,7 +72,7 @@ func TestChaos(t *testing.T) {
 // fault plane injects only transient consumer errors.
 func assertEgress(t *testing.T, res *Result) {
 	t.Helper()
-	wantSinks := res.Config.SinkKills + 1
+	wantSinks := res.Config.Faults.SinkKills + 1
 	if res.SinkIncarnations != wantSinks {
 		t.Fatalf("egress ran %d sink incarnations, want %d", res.SinkIncarnations, wantSinks)
 	}
@@ -104,7 +107,7 @@ func TestChaosShards4(t *testing.T) {
 		proto, query := proto, queries[i]
 		t.Run(fmt.Sprintf("q%d-%s", query, proto), func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Config{Query: query, Protocol: proto, Seed: 11, OrderingShards: 4})
+			res, err := Run(Config{Query: query, Protocol: proto, Seed: 11, OrderingShards: 4, Faults: DefaultFaults})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +137,7 @@ func TestChaosQ8(t *testing.T) {
 			t.Parallel()
 			res, err := Run(Config{
 				Query: 8, Protocol: impeller.ProgressMarker, Seed: 7,
-				OrderingShards: shards, OrderingInterval: time.Millisecond,
+				OrderingShards: shards, Faults: DefaultFaults,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -184,7 +187,7 @@ func TestChaosTasklet(t *testing.T) {
 		proto, query := c.proto, c.query
 		t.Run(fmt.Sprintf("q%d-%s", query, proto), func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Config{Query: query, Protocol: proto, Seed: 7, Engine: impeller.EngineTasklet})
+			res, err := Run(Config{Query: query, Protocol: proto, Seed: 7, Engine: impeller.EngineTasklet, Faults: DefaultFaults})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,17 +215,6 @@ func TestChaosTasklet(t *testing.T) {
 	}
 }
 
-// faultFree disables every fault plane: the run is a plain end-to-end
-// execution whose output the oracle still verifies, so two engines can
-// be compared on identical inputs.
-func faultFree(query int, proto impeller.Protocol, engine impeller.EngineMode) Config {
-	return Config{
-		Query: query, Protocol: proto, Seed: 7, Engine: engine,
-		InfraFaults: -1, Kills: -1, Zombies: -1, NodeCrashes: -1,
-		SinkKills: -1, ConsumerFaults: -1,
-	}
-}
-
 // TestEngineEquivalence: for every (query, protocol) the goroutine and
 // tasklet engines must deliver the same oracle-verified output on
 // identical fault-free inputs — same distinct delivered count, zero
@@ -241,7 +233,9 @@ func TestEngineEquivalence(t *testing.T) {
 				t.Parallel()
 				var delivered [2]uint64
 				for _, engine := range []impeller.EngineMode{impeller.EngineGoroutine, impeller.EngineTasklet} {
-					res, err := Run(faultFree(query, proto, engine))
+					// No Faults: a plain end-to-end execution whose
+					// output the oracle still verifies.
+					res, err := Run(Config{Query: query, Protocol: proto, Seed: 7, Engine: engine})
 					if err != nil {
 						t.Fatalf("%v: %v", engine, err)
 					}
@@ -263,24 +257,25 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestGenPlanDeterministic: the same (config, targets) must yield the
-// same plan, and a different seed a different one.
+// TestGenPlanDeterministic: the same config must yield the same plan —
+// fault times, target draws and rescale steps — and a different seed a
+// different one.
 func TestGenPlanDeterministic(t *testing.T) {
-	targets := []impeller.TaskID{"a/0", "a/1", "b/0", "b/1"}
-	cfg := Config{Query: 11, Protocol: impeller.ProgressMarker, Seed: 42}
-	p1 := GenPlan(cfg, targets)
-	p2 := GenPlan(cfg, targets)
+	cfg := Config{Query: 11, Protocol: impeller.ProgressMarker, Seed: 42, Faults: DefaultFaults, Rescale: true}
+	p1, p2 := GenPlan(cfg), GenPlan(cfg)
 	if !reflect.DeepEqual(p1, p2) {
 		t.Fatal("same seed produced different plans")
 	}
-	// Target order must not matter: the plan sorts before sampling.
-	shuffled := []impeller.TaskID{"b/1", "a/0", "b/0", "a/1"}
-	if p3 := GenPlan(cfg, shuffled); !reflect.DeepEqual(p1, p3) {
-		t.Fatal("target order changed the plan")
+	if len(p1.Steps) != rescaleSteps {
+		t.Fatalf("plan has %d rescale steps, want %d", len(p1.Steps), rescaleSteps)
 	}
 	cfg.Seed = 43
-	if p4 := GenPlan(cfg, targets); reflect.DeepEqual(p1.Tasks, p4.Tasks) {
+	p3 := GenPlan(cfg)
+	if reflect.DeepEqual(p1.Tasks, p3.Tasks) {
 		t.Fatal("different seed produced the same task-fault stream")
+	}
+	if reflect.DeepEqual(p1.Steps, p3.Steps) {
+		t.Fatal("different seed produced the same rescale steps")
 	}
 	if p1.Faults < 20 {
 		t.Fatalf("default plan has %d faults, want >= 20", p1.Faults)
@@ -291,7 +286,7 @@ func TestGenPlanDeterministic(t *testing.T) {
 		t.Fatalf("plan has %d sink kills, want 2", len(p1.SinkKills))
 	}
 	for i, at := range p1.SinkKills {
-		if at <= 0 || at >= cfgDuration(cfg) {
+		if at <= 0 || at >= faultWindow {
 			t.Fatalf("sink kill %d at %v is outside the fault window", i, at)
 		}
 		if i > 0 && at < p1.SinkKills[i-1] {
@@ -301,17 +296,51 @@ func TestGenPlanDeterministic(t *testing.T) {
 	if p1.Consumer.Faults < 10 {
 		t.Fatalf("consumer schedule has %d fault windows, want >= 10", p1.Consumer.Faults)
 	}
+	if p := GenPlan(Config{Query: 1}); p.Faults != 0 || len(p.Tasks)+len(p.SinkKills)+len(p.Steps) != 0 {
+		t.Fatalf("zero Faults planned %d faults", p.Faults)
+	}
 }
 
-func cfgDuration(c Config) (d time.Duration) { return c.withDefaults().Duration }
+// TestGenPlanTargetsLiveAfterRescale: a plan names its fault targets as
+// draws resolved against the task set live when each fault fires, so
+// after a rescale every fault still resolves to a live task — including
+// the slots the rescale created.
+func TestGenPlanTargetsLiveAfterRescale(t *testing.T) {
+	cluster := impeller.NewCluster(impeller.ClusterConfig{DefaultParallelism: parallelism})
+	defer cluster.Close()
+	topo, err := nexmark.BuildOpts(12, nexmark.Options{MaxParallelism: maxParallelism})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := cluster.Run(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Stop()
+	before := app.Manager().TaskIDs()
+	if _, err := app.Rescale(context.Background(), nexmark.RescaleStage(12), 5); err != nil {
+		t.Fatal(err)
+	}
+	live := app.Manager().TaskIDs()
+	hitNew := false
+	for _, f := range GenPlan(Config{Query: 12, Seed: 42, Faults: DefaultFaults}).Tasks {
+		id := f.target(live)
+		if !slices.Contains(live, id) {
+			t.Fatalf("%v fault at %v resolved to %s, not a live task", f.Kind, f.At, id)
+		}
+		hitNew = hitNew || !slices.Contains(before, id)
+	}
+	if len(live) <= len(before) || !hitNew {
+		t.Fatalf("rescale grew %d tasks to %d, and no fault resolved to a new slot", len(before), len(live))
+	}
+}
 
 // TestGenPlanAlignedHasNoZombies: aligned-checkpoint runs convert
 // zombies to kills (no fencing race to exercise) without shrinking
 // the fault budget.
 func TestGenPlanAlignedHasNoZombies(t *testing.T) {
-	targets := []impeller.TaskID{"a/0", "a/1"}
-	marker := GenPlan(Config{Query: 1, Protocol: impeller.ProgressMarker, Seed: 5}, targets)
-	aligned := GenPlan(Config{Query: 1, Protocol: impeller.AlignedCheckpoint, Seed: 5}, targets)
+	marker := GenPlan(Config{Query: 1, Protocol: impeller.ProgressMarker, Seed: 5, Faults: DefaultFaults})
+	aligned := GenPlan(Config{Query: 1, Protocol: impeller.AlignedCheckpoint, Seed: 5, Faults: DefaultFaults})
 	for _, f := range aligned.Tasks {
 		if f.Kind == ZombifyTask {
 			t.Fatalf("aligned plan contains a zombify at %v", f.At)
@@ -328,5 +357,35 @@ func TestGenPlanAlignedHasNoZombies(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("marker plan contains no zombify")
+	}
+}
+
+// TestStuckDumpEveryPhase: a run that does not converge in time reports
+// where every task and the sink stood, whichever phases it played — a
+// mid-flight power cut (dumping the recovered cluster) and a rescale.
+// The convergence wait is forced to zero, so both cells end STUCK.
+func TestStuckDumpEveryPhase(t *testing.T) {
+	cells := map[string]Config{
+		"power-midflight": {Query: 1, Seed: 7, PowerCut: true, MidFlight: true},
+		"rescale":         {Query: 12, Seed: 3, Faults: Faults{Kills: 3}, Rescale: true},
+	}
+	for name, cfg := range cells {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			res, err := run(cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.String()
+			t.Log(s)
+			if res.Converged || res.Violation != "" || !strings.Contains(s, " STUCK\n") {
+				t.Fatalf("want a STUCK run, got converged=%v violation=%q", res.Converged, res.Violation)
+			}
+			for _, want := range []string{"\n  q", " restarts=", "\n  sink: "} {
+				if !strings.Contains(s, want) {
+					t.Fatalf("stuck dump lacks %q", want)
+				}
+			}
+		})
 	}
 }

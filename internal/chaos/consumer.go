@@ -20,43 +20,74 @@ import (
 // downstream database would outlive a crashed egress process, so the
 // oracle verifies exactly-once at the consumer's applied set, not at
 // the sink's hand-off.
+//
+// It also plays the consumer fault plane, a seeded schedule of
+// transient-error outages, latency spikes, and lost acknowledgments
+// (the record is applied but the sink is told it failed, forcing a
+// duplicate delivery the dedupe must absorb). All injected errors are
+// unmarked — transient — so the sink retries forever; permanent
+// failures are exercised by the unit tests, where the oracle is not
+// watching for the records they drop.
 type egressConsumer struct {
-	outs *outputs
+	outs  *outputs
+	sched sim.ConsumerSchedule
+	t0    time.Time // the run's clock origin, which sched's offsets count from
 
 	mu          sync.Mutex
 	applied     map[string]uint64 // highest applied seq per partition/producer
+	ackLost     map[string]bool   // deliveries whose ack was already dropped once
 	distinct    uint64
 	deduped     uint64
+	acksLost    uint64
 	awaitFirst  bool
 	restartedAt time.Time
 	maxRecover  time.Duration
 }
 
-func newEgressConsumer(outs *outputs) *egressConsumer {
-	return &egressConsumer{outs: outs, applied: make(map[string]uint64)}
+func newEgressConsumer(outs *outputs, sched sim.ConsumerSchedule, t0 time.Time) *egressConsumer {
+	return &egressConsumer{outs: outs, sched: sched, t0: t0,
+		applied: make(map[string]uint64), ackLost: make(map[string]bool)}
 }
 
-// Deliver applies one delivery. Per-partition FIFO order plus ascending
-// per-producer sequence numbers make max-seq dedupe sufficient: a
-// redelivered record (sink restart, lost ack) always arrives with a seq
-// at or below the applied floor.
-func (c *egressConsumer) Deliver(_ context.Context, d *core.Delivery) error {
+var (
+	errConsumerOutage = errors.New("chaos: consumer transient outage")
+	errAckLost        = errors.New("chaos: consumer acknowledgment lost")
+)
+
+// Deliver applies one delivery, unless a fault window rejects it first.
+// Per-partition FIFO order plus ascending per-producer sequence numbers
+// make max-seq dedupe sufficient: a redelivered record (sink restart,
+// lost ack) always arrives with a seq at or below the applied floor.
+func (c *egressConsumer) Deliver(ctx context.Context, d *core.Delivery) error {
+	w := c.sched.Active(time.Since(c.t0))
+	if w != nil && w.Kind == sim.ConsumerTransient {
+		return errConsumerOutage
+	}
+	if w != nil && w.Kind == sim.ConsumerLatency && !sleepUntil(ctx, time.Now(), w.Delay) {
+		return ctx.Err()
+	}
 	k := fmt.Sprintf("%d/%s", d.Partition, d.Producer)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.awaitFirst {
-		if rec := time.Since(c.restartedAt); rec > c.maxRecover {
-			c.maxRecover = rec
-		}
+		c.maxRecover = max(c.maxRecover, time.Since(c.restartedAt))
 		c.awaitFirst = false
 	}
 	if d.Seq <= c.applied[k] {
 		c.deduped++
-		return nil
+	} else {
+		c.applied[k] = d.Seq
+		c.distinct++
+		c.outs.add(d.Record.Key, d.Record.Value)
 	}
-	c.applied[k] = d.Seq
-	c.distinct++
-	c.outs.add(d.Record.Key, d.Record.Value)
+	if w != nil && w.Kind == sim.ConsumerAckLoss {
+		// A lost ack is lost once per record; the redelivery is acked.
+		if key := fmt.Sprintf("%s/%d", k, d.Seq); !c.ackLost[key] {
+			c.ackLost[key] = true
+			c.acksLost++
+			return errAckLost
+		}
+	}
 	return nil
 }
 
@@ -69,82 +100,8 @@ func (c *egressConsumer) noteRestart() {
 	c.mu.Unlock()
 }
 
-func (c *egressConsumer) snapshot() (distinct, deduped uint64, maxRecover time.Duration) {
+func (c *egressConsumer) snapshot() (distinct, deduped, acksLost uint64, maxRecover time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.distinct, c.deduped, c.maxRecover
-}
-
-var (
-	errConsumerOutage = errors.New("chaos: consumer transient outage")
-	errAckLost        = errors.New("chaos: consumer acknowledgment lost")
-)
-
-// faultyConsumer wraps the real consumer with a seeded schedule of
-// consumer-side faults: transient-error outages, latency spikes, and
-// lost acknowledgments (the record is applied but the sink is told it
-// failed, forcing a duplicate delivery the inner dedupe must absorb).
-// All injected errors are unmarked — transient — so the sink retries
-// forever; permanent failures are exercised by the unit tests, where
-// the oracle is not watching for the records they drop.
-type faultyConsumer struct {
-	inner core.Consumer
-	sched sim.ConsumerSchedule
-	start time.Time
-
-	mu        sync.Mutex
-	ackLost   map[string]bool // deliveries whose ack was already dropped once
-	transient uint64
-	latent    uint64
-	acksLost  uint64
-}
-
-func newFaultyConsumer(inner core.Consumer, sched sim.ConsumerSchedule) *faultyConsumer {
-	return &faultyConsumer{inner: inner, sched: sched, start: time.Now(), ackLost: make(map[string]bool)}
-}
-
-func (f *faultyConsumer) Deliver(ctx context.Context, d *core.Delivery) error {
-	w := f.sched.Active(time.Since(f.start))
-	if w == nil {
-		return f.inner.Deliver(ctx, d)
-	}
-	switch w.Kind {
-	case sim.ConsumerTransient:
-		f.mu.Lock()
-		f.transient++
-		f.mu.Unlock()
-		return errConsumerOutage
-	case sim.ConsumerLatency:
-		f.mu.Lock()
-		f.latent++
-		f.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(w.Delay):
-		}
-		return f.inner.Deliver(ctx, d)
-	case sim.ConsumerAckLoss:
-		if err := f.inner.Deliver(ctx, d); err != nil {
-			return err
-		}
-		key := fmt.Sprintf("%d/%s/%d", d.Partition, d.Producer, d.Seq)
-		f.mu.Lock()
-		if f.ackLost[key] {
-			// Already replayed once for this record; ack this time.
-			f.mu.Unlock()
-			return nil
-		}
-		f.ackLost[key] = true
-		f.acksLost++
-		f.mu.Unlock()
-		return errAckLost
-	}
-	return f.inner.Deliver(ctx, d)
-}
-
-func (f *faultyConsumer) injected() (transient, latent, acksLost uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.transient, f.latent, f.acksLost
+	return c.distinct, c.deduped, c.acksLost, c.maxRecover
 }

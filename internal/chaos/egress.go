@@ -20,7 +20,6 @@ type egressRunner struct {
 	app      *impeller.App
 	stream   impeller.StreamID
 	consumer core.Consumer
-	opts     core.DeliveryOptions
 
 	mu           sync.Mutex
 	ds           *core.DeliverySink
@@ -31,8 +30,8 @@ type egressRunner struct {
 	counts       core.SinkCounts
 }
 
-func newEgressRunner(app *impeller.App, stream impeller.StreamID, consumer core.Consumer, opts core.DeliveryOptions) *egressRunner {
-	return &egressRunner{app: app, stream: stream, consumer: consumer, opts: opts}
+func newEgressRunner(app *impeller.App, stream impeller.StreamID, consumer core.Consumer) *egressRunner {
+	return &egressRunner{app: app, stream: stream, consumer: consumer}
 }
 
 // launch starts a new sink incarnation, retrying construction while the
@@ -40,7 +39,7 @@ func newEgressRunner(app *impeller.App, stream impeller.StreamID, consumer core.
 // log). Returns false only if ctx dies first.
 func (e *egressRunner) launch(ctx context.Context) bool {
 	for {
-		ds, err := e.app.NewDeliverySink(e.stream, e.consumer, e.opts)
+		ds, err := e.app.NewDeliverySink(e.stream, e.consumer, core.DeliveryOptions{})
 		if err == nil {
 			ictx, cancel := context.WithCancel(context.Background())
 			done := make(chan struct{})
@@ -54,10 +53,8 @@ func (e *egressRunner) launch(ctx context.Context) bool {
 			}()
 			return true
 		}
-		select {
-		case <-ctx.Done():
+		if !sleepUntil(ctx, time.Now(), 5*time.Millisecond) {
 			return false
-		case <-time.After(5 * time.Millisecond):
 		}
 	}
 }

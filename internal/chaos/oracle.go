@@ -54,7 +54,8 @@ func (o *outputs) add(key, value []byte) {
 // (done, violation): done once every expected output has converged,
 // violation (terminal) the moment any output contradicts exactly-once
 // semantics — a duplicated delivery, an over-counted aggregate, or an
-// output no input explains.
+// output no input explains. The query oracles below are not safe for
+// concurrent use; newOracle wraps them in a lockedOracle.
 type oracle interface {
 	record(key, payload []byte)
 	check(o *outputs) (done bool, violation string)
@@ -62,17 +63,48 @@ type oracle interface {
 }
 
 func newOracle(query int) (oracle, error) {
+	var q oracle
 	switch query {
 	case 1:
-		return &q1Oracle{expect: make(map[string][]byte)}, nil
+		q = &q1Oracle{expect: make(map[string][]byte)}
 	case 8:
-		return &q8Oracle{persons: make(map[uint64][]q8Person)}, nil
+		q = &q8Oracle{persons: make(map[uint64][]q8Person)}
 	case 11:
-		return &q11Oracle{bidders: make(map[uint64]*span)}, nil
+		q = &q11Oracle{bidders: make(map[uint64]*span)}
 	case 12:
-		return &q12Oracle{expect: make(map[q12Key]uint64)}, nil
+		q = &q12Oracle{expect: make(map[q12Key]uint64)}
+	default:
+		return nil, fmt.Errorf("chaos: no oracle for query %d (want 1, 8, 11, or 12)", query)
 	}
-	return nil, fmt.Errorf("chaos: no oracle for query %d (want 1, 8, 11, or 12)", query)
+	return &lockedOracle{q: q}, nil
+}
+
+// lockedOracle serializes a query oracle: the generators record
+// concurrently while the convergence loop checks, and a check reads the
+// consumer's outputs under their lock.
+type lockedOracle struct {
+	mu sync.Mutex
+	q  oracle
+}
+
+func (l *lockedOracle) record(key, payload []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.q.record(key, payload)
+}
+
+func (l *lockedOracle) check(o *outputs) (bool, string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return l.q.check(o)
+}
+
+func (l *lockedOracle) inputs() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.q.inputs()
 }
 
 func u64le(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
@@ -81,7 +113,6 @@ func u64le(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 // appear exactly once under its input key with the converted price;
 // non-bids must not appear at all.
 type q1Oracle struct {
-	mu     sync.Mutex
 	expect map[string][]byte
 }
 
@@ -91,22 +122,12 @@ func (q *q1Oracle) record(key, payload []byte) {
 		return // person or auction: filtered out by the query
 	}
 	bid.Price = bid.Price * 908 / 1000
-	q.mu.Lock()
 	q.expect[string(key)] = bid.Encode()
-	q.mu.Unlock()
 }
 
-func (q *q1Oracle) inputs() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.expect)
-}
+func (q *q1Oracle) inputs() int { return len(q.expect) }
 
 func (q *q1Oracle) check(o *outputs) (bool, string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	for key, c := range o.cells {
 		want, ok := q.expect[key]
 		if !ok {
@@ -132,7 +153,6 @@ func (q *q1Oracle) check(o *outputs) (bool, string) {
 // owe that output. Any delivery beyond that count, or of a pair nothing
 // owes, is a violation; the run is done when every count is met.
 type q8Oracle struct {
-	mu       sync.Mutex
 	persons  map[uint64][]q8Person // every person record, by id
 	auctions []q8Auction
 }
@@ -148,8 +168,6 @@ type q8Auction struct {
 }
 
 func (q *q8Oracle) record(key, payload []byte) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if p, err := nexmark.DecodePerson(payload); err == nil {
 		q.persons[p.ID] = append(q.persons[p.ID], q8Person{p.Name, p.DateTime})
 	} else if a, err := nexmark.DecodeAuction(payload); err == nil {
@@ -157,9 +175,9 @@ func (q *q8Oracle) record(key, payload []byte) {
 	}
 }
 
-// owedLocked returns the owed multiset, keyed like the outputs' cells:
+// owed returns the owed multiset, keyed like the outputs' cells:
 // the join's key (person id) followed by its value (name, auction id).
-func (q *q8Oracle) owedLocked() map[string]uint64 {
+func (q *q8Oracle) owed() map[string]uint64 {
 	owed := make(map[string]uint64)
 	window := nexmark.Q8Window.Microseconds()
 	for _, a := range q.auctions {
@@ -182,21 +200,15 @@ func q8Cell(person uint64, name string, auction uint64) string {
 }
 
 func (q *q8Oracle) inputs() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	n := 0
-	for _, c := range q.owedLocked() {
+	for _, c := range q.owed() {
 		n += int(c)
 	}
 	return n
 }
 
 func (q *q8Oracle) check(o *outputs) (bool, string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	owed := q.owedLocked()
+	owed := q.owed()
 	for pair, c := range o.cells {
 		want, ok := owed[pair]
 		if !ok {
@@ -228,7 +240,6 @@ type span struct {
 // exceeds that bidder's total (an over-count means a double-applied
 // input), and the final session key converges to exactly the total.
 type q11Oracle struct {
-	mu      sync.Mutex
 	bidders map[uint64]*span
 }
 
@@ -237,7 +248,6 @@ func (q *q11Oracle) record(key, payload []byte) {
 	if err != nil {
 		return
 	}
-	q.mu.Lock()
 	s := q.bidders[bid.Bidder]
 	if s == nil {
 		s = &span{min: bid.DateTime, max: bid.DateTime}
@@ -250,12 +260,9 @@ func (q *q11Oracle) record(key, payload []byte) {
 		s.max = bid.DateTime
 	}
 	s.count++
-	q.mu.Unlock()
 }
 
 func (q *q11Oracle) inputs() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	n := 0
 	for _, s := range q.bidders {
 		n += int(s.count)
@@ -264,10 +271,6 @@ func (q *q11Oracle) inputs() int {
 }
 
 func (q *q11Oracle) check(o *outputs) (bool, string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	for key, c := range o.cells {
 		_, _, kb, err := impeller.SplitWindowKey([]byte(key))
 		if err != nil || len(kb) != 8 {
@@ -302,7 +305,6 @@ type q12Key struct {
 // last delivered value must converge to exactly the number of bids
 // that bidder placed inside the window, and no emission may exceed it.
 type q12Oracle struct {
-	mu     sync.Mutex
 	expect map[q12Key]uint64
 }
 
@@ -312,14 +314,10 @@ func (q *q12Oracle) record(key, payload []byte) {
 		return
 	}
 	size := nexmark.Q12Window.Size.Microseconds()
-	q.mu.Lock()
 	q.expect[q12Key{bid.Bidder, (bid.DateTime / size) * size}]++
-	q.mu.Unlock()
 }
 
 func (q *q12Oracle) inputs() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	n := 0
 	for _, c := range q.expect {
 		n += int(c)
@@ -328,10 +326,6 @@ func (q *q12Oracle) inputs() int {
 }
 
 func (q *q12Oracle) check(o *outputs) (bool, string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	size := nexmark.Q12Window.Size.Microseconds()
 	for key, c := range o.cells {
 		start, end, kb, err := impeller.SplitWindowKey([]byte(key))

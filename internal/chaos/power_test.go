@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"impeller"
 	"impeller/internal/sharedlog"
@@ -29,17 +28,11 @@ func TestChaosPowerFailure(t *testing.T) {
 			proto, query, engine := proto, queries[i], engine
 			t.Run(fmt.Sprintf("q%d-%s-%v", query, proto, engine), func(t *testing.T) {
 				t.Parallel()
-				res, err := RunPower(PowerConfig{
-					Query:    query,
-					Protocol: proto,
-					Seed:     7,
-					Engine:   engine,
-					// Exercise the checkpoint-store recovery path too:
-					// phase one persists async snapshots (marker
-					// protocol) that phase two rebuilds from the
-					// CheckpointWAL image.
-					SnapshotInterval: 60 * time.Millisecond,
-				})
+				// A clean cut also exercises the checkpoint-store
+				// recovery path: phase one persists async snapshots
+				// (marker protocol) that phase two rebuilds from the
+				// CheckpointWAL image.
+				res, err := Run(Config{Query: query, Protocol: proto, Seed: 7, Engine: engine, PowerCut: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -52,7 +45,7 @@ func TestChaosPowerFailure(t *testing.T) {
 				}
 				if !res.Converged {
 					t.Fatalf("output never converged after recovery: delivered=%d deduped=%d recovered=%d",
-						res.Delivered, res.Deduped, res.Recovery.RecoveredRecords)
+						res.Delivered, res.ConsumerDeduped, res.Recovery.RecoveredRecords)
 				}
 				if res.Recovery.RecoveredRecords == 0 {
 					t.Fatal("recovery replayed no records; the WAL was empty")
@@ -64,7 +57,7 @@ func TestChaosPowerFailure(t *testing.T) {
 					t.Fatalf("clean power cycle truncated the WAL %d times (%d bytes)",
 						res.Recovery.WALTruncations, res.Recovery.WALTruncatedBytes)
 				}
-				if !res.Resumed {
+				if !res.Delivery.Resumed {
 					t.Fatal("phase-two egress sink did not resume from the persisted ack frontier")
 				}
 			})
@@ -85,13 +78,7 @@ func TestChaosPowerFailureMidFlight(t *testing.T) {
 		proto, query := proto, queries[i]
 		t.Run(fmt.Sprintf("q%d-%s", query, proto), func(t *testing.T) {
 			t.Parallel()
-			res, err := RunPower(PowerConfig{
-				Query:            query,
-				Protocol:         proto,
-				Seed:             7,
-				MidFlight:        true,
-				SnapshotInterval: 60 * time.Millisecond,
-			})
+			res, err := Run(Config{Query: query, Protocol: proto, Seed: 7, PowerCut: true, MidFlight: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +88,7 @@ func TestChaosPowerFailureMidFlight(t *testing.T) {
 			}
 			if !res.Converged {
 				t.Fatalf("output never converged after mid-flight recovery: delivered=%d deduped=%d recovered=%d",
-					res.Delivered, res.Deduped, res.Recovery.RecoveredRecords)
+					res.Delivered, res.ConsumerDeduped, res.Recovery.RecoveredRecords)
 			}
 			if res.Recovery.RecoveredRecords == 0 {
 				t.Fatal("recovery replayed no records; the WAL was empty")
@@ -117,9 +104,9 @@ func TestChaosPowerFailureMidFlight(t *testing.T) {
 // re-derivable state. A bit flip destroying committed mid-log history
 // must also be truncated, and while convergence cannot be promised
 // (input may be gone), the output must never contradict exactly-once
-// semantics. Both cells leave SnapshotInterval at 0 so recovery replays
-// the log alone: a truncated log must not strand a checkpoint that
-// references positions beyond the recovered tail.
+// semantics. A corrupting cut runs without snapshots, so recovery
+// replays the log alone: a truncated log must not strand a checkpoint
+// that references positions beyond the recovered tail.
 func TestChaosPowerFailureCorruption(t *testing.T) {
 	cases := []struct {
 		corruption   Corruption
@@ -132,11 +119,9 @@ func TestChaosPowerFailureCorruption(t *testing.T) {
 		tc := tc
 		t.Run(tc.corruption.String(), func(t *testing.T) {
 			t.Parallel()
-			res, err := RunPower(PowerConfig{
-				Query:      1,
-				Protocol:   impeller.ProgressMarker,
-				Seed:       7,
-				Corruption: tc.corruption,
+			res, err := Run(Config{
+				Query: 1, Protocol: impeller.ProgressMarker, Seed: 7,
+				PowerCut: true, Corruption: tc.corruption,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -154,7 +139,7 @@ func TestChaosPowerFailureCorruption(t *testing.T) {
 			}
 			if tc.mustConverge && !res.Converged {
 				t.Fatalf("torn-tail run never converged: delivered=%d deduped=%d recovered=%d truncated=%dB",
-					res.Delivered, res.Deduped, res.Recovery.RecoveredRecords, res.Recovery.WALTruncatedBytes)
+					res.Delivered, res.ConsumerDeduped, res.Recovery.RecoveredRecords, res.Recovery.WALTruncatedBytes)
 			}
 		})
 	}

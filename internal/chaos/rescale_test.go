@@ -12,9 +12,10 @@ import (
 // mid-transition attempts all aborted without moving the epoch, and at
 // least one fenced append was actually rejected by the log (otherwise
 // no zombie raced its replacement and the run proved nothing).
-func runRescaleCell(t *testing.T, cfg RescaleConfig) *RescaleResult {
+func runRescaleCell(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	res, err := RunRescale(cfg)
+	cfg.Protocol, cfg.Rescale = impeller.ProgressMarker, true
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,10 +26,10 @@ func runRescaleCell(t *testing.T, cfg RescaleConfig) *RescaleResult {
 	if !res.Converged {
 		t.Fatalf("output never converged: delivered %d of %d inputs", res.Delivered, res.Sent)
 	}
-	if res.Steps != len(res.Config.Steps) {
-		t.Fatalf("committed %d of %d rescale steps", res.Steps, len(res.Config.Steps))
+	if len(res.Epochs) != len(res.Plan.Steps) {
+		t.Fatalf("committed %d of %d rescale steps", len(res.Epochs), len(res.Plan.Steps))
 	}
-	if want := res.Steps * len(rescalerAbortPoints); !res.Config.NoAborts && res.Aborted != want {
+	if want := len(res.Epochs) * len(rescalerAbortPoints); res.Aborted != want {
 		t.Fatalf("aborted %d doomed attempts, want %d", res.Aborted, want)
 	}
 	if res.CondFailed == 0 {
@@ -42,16 +43,16 @@ func runRescaleCell(t *testing.T, cfg RescaleConfig) *RescaleResult {
 // before every committed split/merge of Q12's window stage, with task
 // kills riding along, and verifies exactly-once at the consumer.
 func TestChaosRescale(t *testing.T) {
-	runRescaleCell(t, RescaleConfig{Seed: 3})
+	runRescaleCell(t, Config{Query: 12, Seed: 3, Faults: Faults{Kills: 3}})
 }
 
 // TestChaosRescaleTasklet is the same cell on the cooperative engine.
 func TestChaosRescaleTasklet(t *testing.T) {
-	runRescaleCell(t, RescaleConfig{Seed: 3, Engine: impeller.EngineTasklet})
+	runRescaleCell(t, Config{Query: 12, Seed: 3, Faults: Faults{Kills: 3}, Engine: impeller.EngineTasklet})
 }
 
 // TestChaosRescaleStateless runs the cell over Q1: no state handoff,
 // but assignment epochs, fencing, and ingress routing still transition.
 func TestChaosRescaleStateless(t *testing.T) {
-	runRescaleCell(t, RescaleConfig{Query: 1, Seed: 7, Kills: -1})
+	runRescaleCell(t, Config{Query: 1, Seed: 7})
 }
