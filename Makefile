@@ -87,22 +87,32 @@ smoke:
 	$(GO) run ./cmd/impeller-bench -exp rescale -duration 2s -scale 0.05
 
 # bench-gate runs every benchmark workload once (seed 1, 5 s) and fails
-# if its allocs_per_event is over the workload's ceiling below, set
-# about 5 % above what PR 26 measured. The alloc metrics repeat within
-# 0.1–0.6 % run to run, so only a real regression crosses a ceiling;
-# latency stays a manual 10-seed `--compare` (EXPERIMENTS.md). Runs
-# write to a temp file and nothing under benchmark/. ~30 s.
-BENCH_GATE = q1-hot:5.7 q12-state:12.3 q8-durable-sim:4.75 q1-dense-tasklet:6.0
+# if a metric is over the workload's ceiling in BENCH_GATE, entries
+# workload:allocs_per_event[:heap_live_mb]. The alloc ceilings sit about
+# 5 % above what PR 26 measured; the metrics repeat within 0.1–0.6 % run
+# to run, so only a real regression crosses one. The heap ceilings, on
+# the Q1 workloads whose every floor advances, hold the log trimmed:
+# PR 28 measured 1.4–3.6 MB (q1-hot) and 6.3 MB (q1-dense-tasklet) there,
+# against 101 and 65 MB before trimming was the default, so a return to
+# unbounded retention fails as an allocation regression does. Latency
+# stays a manual 10-seed `--compare` (EXPERIMENTS.md). Runs write to a
+# temp file and nothing under benchmark/. ~30 s.
+BENCH_GATE = q1-hot:5.7:16 q12-state:12.3 q8-durable-sim:4.75 q1-dense-tasklet:6.0:16
 bench-gate:
 	@out="$$(mktemp)"; log="$$(mktemp)"; trap 'rm -f "$$out" "$$log"' EXIT; \
-	for wc in $(BENCH_GATE); do \
-		w="$${wc%%:*}"; ceiling="$${wc#*:}"; \
+	for entry in $(BENCH_GATE); do \
+		w="$${entry%%:*}"; ceilings="$${entry#*:}"; \
+		allocs="$${ceilings%%:*}"; heap="$${ceilings#$$allocs}"; heap="$${heap#:}"; \
 		bash benchmark/run.sh --workload "$$w" --seed 1 --seconds 5 --out "$$out" > "$$log" 2>&1 || \
 			{ cat "$$log"; echo "bench-gate: $$w failed"; exit 1; }; \
-		got="$$(tail -n 1 "$$out" | grep -o '"allocs_per_event":{"value":[^,]*' | cut -d: -f3)"; \
-		echo "bench-gate: $$w allocs_per_event $$got (ceiling $$ceiling)"; \
-		awk -v g="$$got" -v c="$$ceiling" 'BEGIN { exit !(g != "" && g + 0 <= c + 0) }' || \
-			{ echo "bench-gate: $$w is over its ceiling"; exit 1; }; \
+		for mc in allocs_per_event:$$allocs heap_live_mb:$$heap; do \
+			m="$${mc%%:*}"; ceiling="$${mc#*:}"; \
+			[ -n "$$ceiling" ] || continue; \
+			got="$$(tail -n 1 "$$out" | grep -o "\"$$m\":{\"value\":[^,]*" | cut -d: -f3)"; \
+			echo "bench-gate: $$w $$m $$got (ceiling $$ceiling)"; \
+			awk -v g="$$got" -v c="$$ceiling" 'BEGIN { exit !(g != "" && g + 0 <= c + 0) }' || \
+				{ echo "bench-gate: $$w is over its $$m ceiling"; exit 1; }; \
+		done; \
 	done
 
 # loc prints the size figure ROADMAP tracks: lines of non-test Go

@@ -86,14 +86,6 @@ func (c *Cluster) Run(b *Topology) (*App, error) {
 		a.ingresses[stream] = writers
 		a.rr[stream] = &atomic.Uint64{}
 	}
-
-	if c.env.GC != nil {
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			c.env.GC.Run(ctx, mgr.Env())
-		}()
-	}
 	return a, nil
 }
 

@@ -366,55 +366,3 @@ func BenchmarkAblationOrderingInterval(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationGC measures log growth with and without garbage
-// collection (paper §3.5): consumed prefixes are trimmed once consumers
-// and checkpoints release them.
-func BenchmarkAblationGC(b *testing.B) {
-	for _, gc := range []bool{false, true} {
-		gc := gc
-		name := "without-gc"
-		if gc {
-			name = "with-gc"
-		}
-		b.Run(name, func(b *testing.B) {
-			var live uint64
-			for i := 0; i < b.N; i++ {
-				cluster := impeller.NewCluster(impeller.ClusterConfig{
-					CommitInterval:     30 * time.Millisecond,
-					SnapshotInterval:   100 * time.Millisecond,
-					DefaultParallelism: 1,
-					EnableGC:           gc,
-				})
-				topo := impeller.NewTopology("gcb")
-				topo.Stream("in").
-					GroupBy(func(d impeller.Datum) []byte { return d.Key }).
-					Count("c").
-					To("out")
-				app, err := cluster.Run(topo)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j := 0; j < 3000; j++ {
-					key := []byte{byte(j % 50)}
-					if err := app.Send("in", key, []byte("x"), time.Now().UnixMicro()); err != nil {
-						b.Fatal(err)
-					}
-					if j%500 == 0 {
-						time.Sleep(50 * time.Millisecond)
-					}
-				}
-				time.Sleep(400 * time.Millisecond)
-				if gc {
-					if _, err := cluster.Env().GC.Collect(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				live = uint64(cluster.Log().Tail() - cluster.Log().TrimHorizon())
-				app.Stop()
-				cluster.Close()
-			}
-			b.ReportMetric(float64(live), "live-log-records")
-		})
-	}
-}

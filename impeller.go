@@ -210,8 +210,6 @@ type ClusterConfig struct {
 	LatencyScale float64
 	// Seed makes the simulation deterministic (0 uses 1).
 	Seed uint64
-	// EnableGC runs the garbage collector (paper §3.5).
-	EnableGC bool
 	// Engine selects the task execution engine: EngineGoroutine (one
 	// goroutine per task, the default) or EngineTasklet (cooperative
 	// tasklets on per-core event loops).
@@ -345,9 +343,9 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		Seed:               cfg.Seed,
 		Engine:             cfg.Engine,
 		EngineLoops:        cfg.EngineLoops,
-	}
-	if cfg.EnableGC {
-		c.env.GC = core.NewGCController(c.log)
+		// Trimming is the default (paper §3.5): the log is trimmed
+		// behind the slowest reader's floor, over every app on it.
+		GC: core.NewGCController(c.log),
 	}
 	c.env.AnchorCommitGrid()
 	return c

@@ -62,7 +62,7 @@ func PrintChaosTable(w io.Writer, rows []*chaos.Result) {
 		}
 		fmt.Fprintf(w, "q%-5d %-19s %-5d %-7d %-9d %-8d %-7d %-5d %-11v %s\n",
 			r.Config.Query, r.Config.Protocol, r.Config.Seed, r.Plan.Faults,
-			r.Restarts, r.Retries, r.CondFailed, r.Duplicates,
+			r.Restarts, r.Retries, r.CondFailed, r.Sink.Duplicates,
 			r.MaxRecovery.Round(100*time.Microsecond), status)
 	}
 }

@@ -148,6 +148,27 @@ const (
 	logShards = 4
 )
 
+// snapshots is the cell's async checkpoint interval. A clean power cut
+// persists snapshots (marker protocol), so the recovery rebuilds state
+// from the checkpoint store image too. A corrupting one replays the log
+// alone: a truncated log must not strand a checkpoint that references
+// positions beyond it. Other cells take none.
+func (c Config) snapshots() time.Duration {
+	if c.PowerCut && c.Corruption == CorruptNone {
+		return 60 * time.Millisecond
+	}
+	return 0
+}
+
+// trims reports whether every floor of the cell can advance, so its log
+// must have been trimmed by the end: the marker protocol, under which
+// tasks report their floors (under the others they report none). A
+// stateful query's change streams stay pinned, but the input consumed
+// before its first change record is released.
+func (c Config) trims() bool {
+	return c.Protocol == impeller.ProgressMarker
+}
+
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -369,10 +390,11 @@ type Result struct {
 	Bids int
 	// Delivered is the external consumer's distinct applied count — the
 	// exactly-once measurement point — across both clusters of a power
-	// cut. Duplicates is the gated sinks' count, summed across
-	// incarnations, of replayed records suppressed by sequence-number
-	// dedup.
-	Delivered, Duplicates uint64
+	// cut. Sink sums the gated sinks' counts across incarnations: among
+	// them the replayed records suppressed by sequence-number dedup, and
+	// what trim took from a lagging sink (TrimmedLost, Invalidations).
+	Delivered uint64
+	Sink      core.SinkCounts
 	// Delivery aggregates the delivery sinks' counters (attempts,
 	// redeliveries, transient errors, dead letters, frontier persists,
 	// whether an incarnation resumed from a persisted frontier) across
@@ -416,10 +438,14 @@ type Result struct {
 	Epochs  []uint64
 	Aborted int
 
+	// TrimHorizon is the (last) cluster's log trim horizon at the end.
+	TrimHorizon sharedlog.LSN
+
 	// Converged reports whether the oracle's expected output was fully
 	// observed in time; Violation is non-empty if the output ever
-	// contradicted exactly-once semantics (terminal), or a rescale step
-	// misbehaved.
+	// contradicted exactly-once semantics (terminal), a rescale step
+	// misbehaved, trim took records from a sink, or a converged cell
+	// whose floors all advance never trimmed its log.
 	Converged bool
 	Violation string
 	// Stuck, set when the run neither converged nor violated, is where
@@ -459,11 +485,11 @@ func stuckDump(mgr *core.Manager, sink *egressRunner) string {
 // per-task dump).
 func (r *Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "q%-2d %-18s seed=%-3d faults=%-2d restarts=%-2d retries=%-4d fenced=%-2d maxrec=%-8v sinks=%d delivered=%-4d redel=%-3d dedup=%-3d rtd=%-8v",
+	fmt.Fprintf(&b, "q%-2d %-18s seed=%-3d faults=%-2d restarts=%-2d retries=%-4d fenced=%-2d maxrec=%-8v sinks=%d delivered=%-4d redel=%-3d dedup=%-3d rtd=%-8v horizon=%-5d",
 		r.Config.Query, r.Config.Protocol, r.Config.Seed, r.Plan.Faults,
 		r.Restarts, r.Retries, r.CondFailed, r.MaxRecovery.Round(100*time.Microsecond),
 		r.SinkIncarnations, r.Delivered, r.Delivery.Redelivered, r.ConsumerDeduped,
-		r.RecoverToDeliver.Round(100*time.Microsecond))
+		r.RecoverToDeliver.Round(100*time.Microsecond), r.TrimHorizon)
 	if r.Config.PowerCut {
 		fmt.Fprintf(&b, " cut=%s midflight=%v recovered=%d metaops=%d trunc=%d(%dB) ckpttrunc=%dB rec=%v resumed=%v",
 			r.Config.Corruption, r.Config.MidFlight,

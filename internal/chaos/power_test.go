@@ -65,6 +65,30 @@ func TestChaosPowerFailure(t *testing.T) {
 	}
 }
 
+// TestChaosPowerFailureStateful cuts the power under a stateful query
+// that takes snapshots on a trimmed log (the matrix above runs the
+// marker protocol on stateless Q1). The recovered cluster's tasks restore
+// from the surviving checkpoints, its fresh checkpointers fold the group
+// streams from the horizon — the stage pins them, so nothing is missing —
+// and the output must still converge exactly once.
+func TestChaosPowerFailureStateful(t *testing.T) {
+	res, err := Run(Config{Query: 12, Protocol: impeller.ProgressMarker, Seed: 7, PowerCut: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log(res)
+	if res.Violation != "" {
+		t.Fatalf("exactly-once violation across power failure: %s", res.Violation)
+	}
+	if !res.Converged {
+		t.Fatalf("output never converged after recovery: delivered=%d deduped=%d recovered=%d",
+			res.Delivered, res.ConsumerDeduped, res.Recovery.RecoveredRecords)
+	}
+	if !res.Delivery.Resumed {
+		t.Fatal("phase-two egress sink did not resume from the persisted ack frontier")
+	}
+}
+
 // TestChaosPowerFailureMidFlight pulls the plug while the query is
 // still computing: input is durable but processing, delivery, and the
 // egress frontier are all mid-flight when the cluster hard-stops. The

@@ -109,18 +109,10 @@ func (h *harness) deploy(ckpt []byte) (*deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A clean power cut also persists async snapshots (marker protocol),
-	// so the recovery rebuilds state from the checkpoint store image
-	// too. A corrupting one replays the log alone: a truncated log must
-	// not strand a checkpoint that references positions beyond it.
-	var snapshots time.Duration
-	if h.cfg.PowerCut && h.cfg.Corruption == CorruptNone {
-		snapshots = 60 * time.Millisecond
-	}
 	cluster := impeller.NewCluster(impeller.ClusterConfig{
 		Protocol:             h.cfg.Protocol,
 		CommitInterval:       commitInterval,
-		SnapshotInterval:     snapshots,
+		SnapshotInterval:     h.cfg.snapshots(),
 		DefaultParallelism:   parallelism,
 		IngressWriters:       generators,
 		IngressFlushInterval: 5 * time.Millisecond,
@@ -282,9 +274,20 @@ func (h *harness) collect(d *deployment, res *Result) *Result {
 		res.Stuck = stuckDump(d.mgr, d.sink)
 	}
 	d.sink.finish()
-	stats, counts, incarnations := d.sink.snapshot()
-	res.Delivery, res.SinkIncarnations = stats, incarnations
-	res.Duplicates = counts.Duplicates
+	res.Delivery, res.Sink, res.SinkIncarnations = d.sink.snapshot()
+	// One more collection at quiescence, so the verdict below does not
+	// hang on whether a short cell spanned a GC tick.
+	res.TrimHorizon, _ = d.cluster.Env().GC.Collect()
+	// Trimming is on in every cell: it must never take a record from a
+	// sink incarnation, and where every floor advances it must happen.
+	switch {
+	case res.Violation != "":
+	case res.Sink.TrimmedLost > 0 || res.Sink.Invalidations > 0:
+		res.Violation = fmt.Sprintf("trim outran a sink: %d records lost, %d cursor invalidations",
+			res.Sink.TrimmedLost, res.Sink.Invalidations)
+	case res.Converged && h.cfg.trims() && res.TrimHorizon == 0:
+		res.Violation = "every floor can advance, yet the log was never trimmed"
+	}
 	res.Delivered, res.ConsumerDeduped, res.ConsumerAcksLost, res.RecoverToDeliver = h.cons.snapshot()
 
 	res.Sent = d.app.InputCount()

@@ -218,6 +218,25 @@ func TestDeliveryAllocsPerRecord(t *testing.T) {
 	}
 }
 
+// TestGCReportAllocs gates what a sink pays per fetched batch for its
+// garbage-collection floor: a mutex and a map write, no allocation.
+func TestGCReportAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in non-race builds")
+	}
+	log := sharedlog.Open(sharedlog.Config{})
+	defer log.Close()
+	gc := NewGCController(log)
+	floor := LSN(0)
+	gc.Report("sink/out/1", floor)
+	if allocs := testing.AllocsPerRun(100, func() {
+		floor++
+		gc.Report("sink/out/1", floor)
+	}); allocs != 0 {
+		t.Errorf("a floor report allocates %.1f times, want 0", allocs)
+	}
+}
+
 type consumerFunc func(context.Context, *Delivery) error
 
 func (f consumerFunc) Deliver(ctx context.Context, d *Delivery) error { return f(ctx, d) }

@@ -21,6 +21,7 @@ import (
 //	P/<stage>/<e>/owner/<g> owning slot of group g at epoch e, stored +1
 //	H/<stage>/<e>/<g>      state-handoff floor for group g entering
 //	                       epoch e, stored +1 (see handoff keys below)
+//	R/<task>/seq           a retired slot's output counter (parkSeq)
 //
 // Owner and floor values are stored +1 so slot 0 / LSN 0 are
 // distinguishable from a missing key (MetaStore reads missing keys as
@@ -148,6 +149,25 @@ func handoffFloor(meta *sharedlog.MetaStore, stage string, epoch uint64, group i
 		return 0, false
 	}
 	return LSN(v - 1), true
+}
+
+// parkedSeqKey parks a retired slot's output counter: the SeqEnd of its last
+// committed marker. Its retirement tombstone carries the counter too,
+// but the slot's floor goes with it, so the collector may trim the
+// tombstone before a scale-up revives the slot. The revived instance
+// then finds no marker at all and resumes numbering from here;
+// restarting at zero would make every downstream dedup drop its output
+// as duplicates.
+func parkedSeqKey(task TaskID) string { return "R/" + string(task) + "/seq" }
+
+func parkSeq(meta *sharedlog.MetaStore, task TaskID, seq uint64) {
+	meta.Set(parkedSeqKey(task), seq)
+}
+
+// parkedSeq is the counter parked for task, 0 if it never retired.
+func parkedSeq(meta *sharedlog.MetaStore, task TaskID) uint64 {
+	v, _ := meta.Get(parkedSeqKey(task))
+	return v
 }
 
 // ownerChangedAt reports whether group g changed owner entering epoch e

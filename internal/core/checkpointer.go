@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"impeller/internal/sharedlog"
@@ -137,11 +136,9 @@ func (c *Checkpointer) Checkpoint(ctx context.Context) error {
 	// exists (paper §4: "Auxiliary data in the progress marker
 	// indicates the presence of a checkpoint").
 	_ = c.env.Log.SetAux(covered, []byte("checkpoint"))
-	if c.env.GC != nil {
-		// The group-stream prefix covered by this checkpoint — and every
-		// marker before it — is no longer needed for recovery.
-		c.env.GC.Report("ckpt/"+c.task, covered)
-	}
+	// The covered prefix stays on the log: a rescale's acquirer rebuilds
+	// a migrated group from its whole stream, so the stage pins its
+	// change streams (GCController).
 	return nil
 }
 
@@ -161,10 +158,7 @@ func (c *Checkpointer) advance(ctx context.Context) (bool, error) {
 			recs, e = c.cur.NextBatch(DefaultReadBatch)
 			return e
 		})
-		if errors.Is(err, sharedlog.ErrCursorInvalidated) {
-			// Our position was trimmed away; everything below the horizon
-			// was covered by reported floors, so skipping to it is safe.
-			c.cur.Seek(c.env.Log.TrimHorizon())
+		if skipTrimmed(err, c.cur, c.env.Log) {
 			continue
 		}
 		if err != nil {
@@ -206,8 +200,7 @@ func (c *Checkpointer) tags() []sharedlog.Tag {
 }
 
 // Covered reports the LSN up to which checkpoints cover the group
-// streams; the garbage collector may trim them up to it (paper §3.5:
-// "All the log records before this progress marker can be deleted").
+// streams: recovery under the same group set replays only what follows.
 func (c *Checkpointer) Covered() (LSN, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -101,18 +101,14 @@ func (t *Task) commitMarker(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if t.env.GC != nil {
-		// Everything at or below the committed InputEnd is consumed; we
-		// still need our latest marker (and the change-log suffix,
-		// whose floor the checkpointer reports separately).
-		floor := markerLSN
-		if in := t.inputEnd(); in != NoLSN && in+1 < floor {
-			floor = in + 1
-		}
-		if !t.stage.Stateful || t.env.SnapshotInterval > 0 {
-			t.env.GC.Report(t.ID, floor)
-		}
+	// Everything at or below the committed InputEnd is consumed; we still
+	// need our latest marker. A stateful stage's change streams are
+	// pinned apart (Manager.Start).
+	floor := markerLSN
+	if in := t.inputEnd(); in != NoLSN && in+1 < floor {
+		floor = in + 1
 	}
+	t.env.GC.Report(t.ID, floor)
 	t.lastMarker = markerLSN
 	t.Metrics.Appends.Add(1)
 	t.Metrics.Markers.Add(1)

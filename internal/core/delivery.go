@@ -293,50 +293,72 @@ func NewDeliverySink(stream StreamID, partitions int, env *Env, consumer Consume
 // Sink exposes the wrapped gated sink (for Counts and OnRecord taps).
 func (ds *DeliverySink) Sink() *Sink { return ds.sink }
 
-// loadFrontier reads the newest KindEgressFrontier record and primes
-// the resume position and acked floors from it.
+// loadFrontier reads the newest KindEgressFrontier record, primes the
+// resume position and acked floors from it, and takes up the sink's
+// garbage-collection floor.
 func (ds *DeliverySink) loadFrontier() error {
-	var rec *sharedlog.Record
+	var f *frontier
 	err := ds.appendRetry.do(context.Background(), "egress frontier read", func() error {
-		r, err := ds.env.Log.ReadPrev(ds.egressTag, ds.env.Log.Tail())
-		if err != nil {
-			if errors.Is(err, sharedlog.ErrTrimmed) {
-				// The frontier itself was trimmed: start at the horizon
-				// with no ack floors (deliveries below it are gone).
-				r, err = nil, nil
-			} else {
-				return err
-			}
-		}
-		rec = r
-		return nil
+		var err error
+		f, err = readFrontier(ds.env.Log, ds.egressTag)
+		return err
 	})
 	if err != nil {
 		return fmt.Errorf("core: egress %s: %w", ds.producerID, err)
 	}
-	if rec == nil {
+	if f == nil {
+		ds.env.GC.Report(TaskID(ds.egressTag), 0)
 		return nil
+	}
+	ds.env.GC.Report(TaskID(ds.egressTag), f.floor())
+	ds.resumeLSN = f.resume
+	ds.resumed = true
+	ds.lastResume = f.resume
+	ds.resumeAcked = f.acked
+	for k, v := range f.acked {
+		ds.acked[k] = v
+	}
+	ds.sink.SetStart(f.resume)
+	return nil
+}
+
+// frontier is a persisted egress frontier: where its record sits, where
+// a restarted sink resumes reading, and the ack floors.
+type frontier struct {
+	lsn, resume LSN
+	acked       map[ackKey]uint64
+}
+
+// floor is the delivery sink's garbage-collection floor: the resume
+// point, and the frontier record itself, which the next incarnation's
+// ReadPrev must still find. It is keyed by the egress-offsets tag and
+// never forgotten, so it holds while no incarnation runs; after a
+// whole-cluster restart NewGCController seeds it from the log.
+func (f *frontier) floor() LSN { return min(f.resume, f.lsn) }
+
+// readFrontier reads the newest frontier on tag; nil when none survives.
+func readFrontier(log *sharedlog.Log, tag sharedlog.Tag) (*frontier, error) {
+	rec, err := log.ReadPrev(tag, log.Tail())
+	if errors.Is(err, sharedlog.ErrTrimmed) {
+		// The frontier itself was trimmed: start at the horizon with no
+		// ack floors (deliveries below it are gone).
+		return nil, nil
+	}
+	if err != nil || rec == nil {
+		return nil, err
 	}
 	b, err := DecodeBatch(rec.Payload)
 	if err != nil {
-		return fmt.Errorf("core: egress %s: frontier decode: %w", ds.producerID, err)
+		return nil, fmt.Errorf("frontier decode: %w", err)
 	}
 	if b.Kind != KindEgressFrontier {
-		return fmt.Errorf("core: egress %s: unexpected %s on offsets stream", ds.producerID, b.Kind)
+		return nil, fmt.Errorf("unexpected %s on offsets stream", b.Kind)
 	}
 	resume, acked, err := decodeFrontier(b.Control)
 	if err != nil {
-		return fmt.Errorf("core: egress %s: %w", ds.producerID, err)
+		return nil, err
 	}
-	ds.resumeLSN = resume
-	ds.resumed = true
-	ds.lastResume = resume
-	ds.resumeAcked = acked
-	for k, v := range acked {
-		ds.acked[k] = v
-	}
-	ds.sink.SetStart(resume)
-	return nil
+	return &frontier{lsn: rec.LSN, resume: resume, acked: acked}, nil
 }
 
 // Run consumes and delivers until ctx is cancelled (hard crash) or Stop
@@ -610,8 +632,10 @@ func (ds *DeliverySink) persistFrontier(ctx context.Context) {
 		Control:  encodeFrontier(resume, acked),
 	}
 	payload := b.Encode()
+	var lsn LSN
 	err := ds.appendRetry.do(ctx, "egress frontier append", func() error {
-		_, err := ds.env.Log.Append([]sharedlog.Tag{ds.egressTag}, payload)
+		var err error
+		lsn, err = ds.env.Log.Append([]sharedlog.Tag{ds.egressTag}, payload)
 		return err
 	})
 	if err != nil {
@@ -621,6 +645,7 @@ func (ds *DeliverySink) persistFrontier(ctx context.Context) {
 		ds.mu.Unlock()
 		return
 	}
+	ds.env.GC.Report(TaskID(ds.egressTag), min(resume, lsn)) // frontier.floor
 	ds.frontierPersists.Add(1)
 }
 

@@ -374,6 +374,62 @@ func TestSinkCountsTrimmedLost(t *testing.T) {
 	}
 }
 
+// TestDeliverySinkFloorOutlivesIncarnations: a delivery sink's floor is
+// its persisted frontier. It holds the collector while no incarnation
+// runs (after a hard kill), a fresh controller seeds it from the log (a
+// whole-cluster restart), and the next incarnation loses nothing to
+// trim although every other floor is at the tail.
+func TestDeliverySinkFloorOutlivesIncarnations(t *testing.T) {
+	env := newEgressEnv()
+	defer env.Log.Close()
+	env.GC = NewGCController(env.Log)
+	env.GC.Report("upstream", sharedlog.MaxLSN) // trims to the tail but for the sink
+	cons := newMemConsumer()
+	opts := DeliveryOptions{FrontierInterval: time.Millisecond}
+	ds1, err := NewDeliverySink("out", 1, env, cons, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx1, kill := context.WithCancel(context.Background())
+	done1 := make(chan struct{})
+	go func() { _ = ds1.Run(ctx1); close(done1) }()
+	for seq := uint64(1); seq <= 20; seq += 2 {
+		appendCommitted(t, env, "out", 0, "up/0", seq, seq+1)
+	}
+	waitUntil(t, "delivery before the kill", func() bool { return cons.appliedCount() == 20 })
+	waitUntil(t, "a frontier past the delivered records", func() bool {
+		f, err := readFrontier(env.Log, EgressOffsetsTag("out", "0"))
+		return err == nil && f != nil && len(f.acked) > 0
+	})
+	kill()
+	<-done1
+
+	for seq := uint64(21); seq <= 30; seq += 2 {
+		appendCommitted(t, env, "out", 0, "up/0", seq, seq+1)
+	}
+	f, err := readFrontier(env.Log, EgressOffsetsTag("out", "0"))
+	if err != nil || f == nil {
+		t.Fatalf("persisted frontier: %v", err)
+	}
+	if h, err := env.GC.Collect(); err != nil || h != f.floor() {
+		t.Fatalf("with no incarnation running the log trimmed to %d (%v), want the frontier's floor %d", h, err, f.floor())
+	}
+	if h, ok := NewGCController(env.Log).SafeHorizon(); !ok || h != f.floor() {
+		t.Fatalf("a restarted controller seeds floor %d (%v), want %d", h, ok, f.floor())
+	}
+
+	ds2, err := NewDeliverySink("out", 1, env, cons, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = ds2.Run(context.Background()) }()
+	waitUntil(t, "delivery after the restart", func() bool { return cons.appliedCount() == 30 })
+	ds2.Stop()
+	if c := ds2.Sink().Counts(); c.TrimmedLost != 0 || c.Invalidations != 0 {
+		t.Fatalf("trim took from the restarted sink: %+v", c)
+	}
+}
+
 // TestSinkDrainOnCancel is the satellite-2 regression: batches whose
 // commit markers are already durable at shutdown are delivered by the
 // cancellation sweep, and batches still lacking a commit decision are

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,6 +164,11 @@ func (s *Sink) Run(ctx context.Context) error {
 	}
 	retry := newRetrier(s.env, "", nil)
 	s.safe.Store(uint64(s.start))
+	// The sink holds a garbage-collection floor at its safe position
+	// while it runs, reported once per fetched batch.
+	floor := TaskID(fmt.Sprintf("sink/%s/%p", s.stream, s))
+	s.env.GC.Report(floor, s.start)
+	defer s.env.GC.Forget(floor)
 	cur := s.env.Log.OpenCursor(tags, s.start)
 	for {
 		recs, err := cur.NextBatchBlocking(ctx, DefaultReadBatch)
@@ -187,6 +193,7 @@ func (s *Sink) Run(ctx context.Context) error {
 		}
 		if len(recs) > 0 {
 			s.updateSafe(recs[len(recs)-1].LSN + 1)
+			s.env.GC.Report(floor, s.SafePos())
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"impeller/internal/sharedlog"
 )
 
 // Manager schedules a query's tasks and monitors their health (paper
@@ -169,18 +171,20 @@ func (m *Manager) Start(ctx context.Context) error {
 			return err
 		}
 		m.assign[stage.Name] = a
+		if stage.Stateful {
+			tags := make([]sharedlog.Tag, a.Groups)
+			for g := range tags {
+				tags[g] = GroupChangeTag(stage.Name, g)
+			}
+			m.env.GC.Pin(stage.Name, tags)
+		}
 		for sub := 0; sub < a.Slots; sub++ {
 			id := TaskID(fmt.Sprintf("%s/%d", stage.Name, sub))
 			m.metrics[id] = &TaskMetrics{}
 			if m.ckpt != nil {
 				m.ckpt.AddParticipant(id)
 			}
-			if m.env.GC != nil {
-				m.env.GC.Report(id, 0)
-				if stage.Stateful {
-					m.env.GC.Report("ckpt/"+id, 0)
-				}
-			}
+			m.env.GC.Report(id, 0)
 			m.spawnLocked(stage, sub, id)
 			m.startCheckpointerLocked(stage, id, a.GroupsOf(sub))
 		}
@@ -192,10 +196,14 @@ func (m *Manager) Start(ctx context.Context) error {
 			m.ckpt.Loop(m.ctx, m.env)
 		}()
 	}
-	m.wg.Add(1)
+	m.wg.Add(2)
 	go func() {
 		defer m.wg.Done()
 		m.monitor()
+	}()
+	go func() {
+		defer m.wg.Done()
+		m.env.GC.Run(m.ctx, m.env)
 	}()
 	return nil
 }
@@ -425,10 +433,11 @@ func (m *Manager) applyAssignment(stage *Stage, next *Assignment) {
 				delete(m.ckptCancel, id)
 			}
 			delete(m.checkpointers, id)
-			if m.env.GC != nil {
-				m.env.GC.Forget(id)
-				m.env.GC.Forget("ckpt/" + id)
-			}
+			// Retired slots are numbered above every acquiring slot, so
+			// this loop has already reset the acquirers' floors when the
+			// donor's floor goes. A retired slot's output counter
+			// outlives the trim of its tombstone in meta (parkSeq).
+			m.env.GC.Forget(id)
 			continue
 		}
 		groups := next.GroupsOf(sub)
@@ -438,17 +447,12 @@ func (m *Manager) applyAssignment(stage *Stage, next *Assignment) {
 		if m.metrics[id] == nil {
 			m.metrics[id] = &TaskMetrics{}
 		}
-		if m.env.GC != nil {
-			// The slot may have acquired groups whose change-stream
-			// prefix sits below everything it previously reported; drop
-			// its floors (non-monotonically) until recovery and
-			// checkpointing re-establish them, or the collector could
-			// trim records the new owner still needs to replay.
-			m.env.GC.Reset(id, 0)
-			if stage.Stateful {
-				m.env.GC.Reset("ckpt/"+id, 0)
-			}
-		}
+		// The slot may have acquired groups whose handoff floor sits
+		// below everything it previously reported; drop its floor
+		// (non-monotonically) until its first marker re-establishes it,
+		// or the collector could trim input the new owner still needs.
+		// The groups' change streams are pinned for the stage (Start).
+		m.env.GC.Reset(id, 0)
 		m.spawnLocked(stage, sub, id)
 		m.startCheckpointerLocked(stage, id, groups)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -132,7 +131,11 @@ func (t *Task) recoverMarker(ctx context.Context) error {
 	}
 	t.probe("marker")
 	var markerEpoch uint64 // assignment epoch stamped on our last marker
-	if last != nil {
+	if last == nil {
+		// No marker: a fresh slot, or one revived after the collector
+		// trimmed its retirement tombstone (parkSeq).
+		t.outSeq = parkedSeq(t.log.Meta(), t.ID)
+	} else {
 		m, err := DecodeMarker(b.Control)
 		if err != nil {
 			return err
@@ -190,6 +193,9 @@ func (t *Task) recoverMarker(ctx context.Context) error {
 		}
 		t.heartbeat() // recovery can be long; stay visibly alive
 		recs, err := t.readNextRetry(ctx, "replay-groups", cur, DefaultReadBatch)
+		if skipTrimmed(err, cur, t.log) {
+			continue
+		}
 		if err != nil {
 			return err
 		}
@@ -569,12 +575,10 @@ func (t *Task) recoverUnsafe(ctx context.Context) error {
 		}
 		t.heartbeat()
 		recs, err := t.readNextRetry(ctx, "replay-unsafe", cur, DefaultReadBatch)
+		if skipTrimmed(err, cur, t.log) {
+			continue
+		}
 		if err != nil {
-			if errors.Is(err, sharedlog.ErrCursorInvalidated) {
-				// Best-effort replay: skip the trimmed prefix.
-				cur.Seek(t.log.TrimHorizon())
-				continue
-			}
 			return err
 		}
 		if len(recs) == 0 {

@@ -49,9 +49,11 @@ func (m *Manager) Rescale(ctx context.Context, stage string, newSlots int) (uint
 //  3. read each fenced slot's last marker and publish every migrating
 //     group's handoff floor (the donor's committed InputEnd + 1) under
 //     epoch E+1,
-//  4. append a tombstone marker for each retired slot so downstream
-//     trackers stop waiting for the fenced instance's covering markers
-//     and classify its in-flight batches as uncommitted,
+//  4. park each retired slot's output counter in meta (the collector
+//     may trim the tombstone before the slot is revived) and append a
+//     tombstone marker for it, so downstream trackers stop waiting for
+//     the fenced instance's covering markers and classify its
+//     in-flight batches as uncommitted,
 //  5. CAS P/<stage>/epoch E→E+1 — the commit point; a lost CAS means a
 //     concurrent rescale won,
 //  6. install the assignment in the manager: spawn changed and new
@@ -89,7 +91,6 @@ func (r *Rescaler) Rescale(ctx context.Context, stageName string, newSlots int) 
 	if newSlots == cur.Slots {
 		return cur.Epoch, nil
 	}
-
 	// Pause the monitor's healing for this stage: a replacement spawned
 	// between our fence and the epoch commit could advance a donor's
 	// frontier past its published handoff floor.
@@ -143,7 +144,7 @@ func (r *Rescaler) Rescale(ctx context.Context, stageName string, newSlots int) 
 			return 0, err
 		}
 		floor := LSN(0)
-		var seqEnd uint64
+		seqEnd := parkedSeq(meta, id) // a revived slot not yet committed
 		if last != nil {
 			mk, err := DecodeMarker(b.Control)
 			if err != nil {
@@ -160,6 +161,7 @@ func (r *Rescaler) Rescale(ctx context.Context, stageName string, newSlots int) 
 			}
 		}
 		if retired {
+			parkSeq(meta, id, seqEnd)
 			if err := r.tombstone(ctx, retry, stage, id, oldGroups, inst, next.Epoch, seqEnd); err != nil {
 				return 0, err
 			}

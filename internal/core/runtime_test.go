@@ -13,13 +13,17 @@ import (
 	"impeller/internal/sharedlog"
 )
 
-// scanTag returns every record on tag's substream, in log order.
+// scanTag returns every live record on tag's substream, in log order.
 func scanTag(t *testing.T, log *sharedlog.Log, tag sharedlog.Tag) []*sharedlog.Record {
 	t.Helper()
 	var out []*sharedlog.Record
 	cur := log.OpenCursor([]sharedlog.Tag{tag}, 0)
 	for {
 		recs, err := cur.NextBatch(64)
+		if errors.Is(err, sharedlog.ErrCursorInvalidated) {
+			cur.Seek(log.TrimHorizon()) // the collector runs meanwhile
+			continue
+		}
 		if err != nil {
 			t.Fatalf("scan %s: %v", tag, err)
 		}

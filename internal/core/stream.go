@@ -61,8 +61,12 @@ func OffsetStreamTag(task TaskID) sharedlog.Tag {
 // the sink's consumer-acknowledged delivery frontier, read back on
 // restart so delivery resumes from the last ack instead of from zero.
 func EgressOffsetsTag(stream StreamID, sink string) sharedlog.Tag {
-	return sharedlog.Tag(fmt.Sprintf("E/%s/%s", stream, sink))
+	return sharedlog.Tag(egressOffsetsPrefix + string(stream) + "/" + sink)
 }
+
+// egressOffsetsPrefix begins every egress-offsets tag; the garbage
+// collector lists the substreams by it.
+const egressOffsetsPrefix = "E/"
 
 // DeadLetterTag returns the dead-letter substream tag for a named
 // delivery sink: output records that exhausted their permanent-error

@@ -184,8 +184,10 @@ type Env struct {
 	// CoordinatorLatency charges the synchronous coordinator RPCs of
 	// the Kafka transaction protocol.
 	CoordinatorLatency sim.LatencyModel
-	// GC, when set, receives consumed-LSN reports from tasks and
-	// checkpointers and periodically trims the log (paper §3.5).
+	// GC receives the floors of every reader that can fall behind; the
+	// manager runs it, trimming the log behind the slowest (paper §3.5).
+	// Every query on one log must share it, so NewCluster builds one per
+	// cluster; left nil, the manager's env gets its own.
 	GC *GCController
 	// Faults, if non-nil, lets chaos experiments crash the compute
 	// nodes tasks run on: a task whose node (ComputeNode(id)) is
@@ -245,6 +247,9 @@ func (e *Env) withDefaults() *Env {
 	out.Retry = out.Retry.withDefaults()
 	if out.Seed == 0 {
 		out.Seed = 1
+	}
+	if out.GC == nil && out.Log != nil {
+		out.GC = NewGCController(out.Log)
 	}
 	return &out
 }

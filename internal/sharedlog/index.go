@@ -2,6 +2,7 @@ package sharedlog
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -225,6 +226,23 @@ func (x *tagIndex) count(tag Tag) int {
 		return 0
 	}
 	return len(e.lsns)
+}
+
+// tagsWithPrefix lists the tags beginning with prefix that have live
+// LSNs.
+func (x *tagIndex) tagsWithPrefix(prefix string) []Tag {
+	var out []Tag
+	for i := range x.shards {
+		s := &x.shards[i]
+		s.mu.RLock()
+		for tag, e := range s.m {
+			if len(e.lsns) > 0 && strings.HasPrefix(string(tag), prefix) {
+				out = append(out, tag)
+			}
+		}
+		s.mu.RUnlock()
+	}
+	return out
 }
 
 // register subscribes w to every tag; the next commit carrying one of

@@ -104,8 +104,29 @@ func (l *Log) Trim(upTo LSN) error {
 	return nil
 }
 
-// CountTag reports how many live records carry tag; used by tests and
-// the GC ablation.
+// CountTag reports how many live records carry tag; used by tests.
 func (l *Log) CountTag(tag Tag) int {
 	return l.index.count(tag)
+}
+
+// TagsWithPrefix lists the tags beginning with prefix that still carry
+// a live record, in no particular order. The garbage collector finds
+// the delivery sinks' egress-offsets substreams this way after a
+// recovery.
+func (l *Log) TagsWithPrefix(prefix string) []Tag {
+	return l.index.tagsWithPrefix(prefix)
+}
+
+// FirstLSN returns the lowest LSN of a live record carrying any of tags,
+// and false when none does. The garbage collector holds pinned
+// substreams at it.
+func (l *Log) FirstLSN(tags []Tag) (LSN, bool) {
+	first, ok := MaxLSN, false
+	var buf [1]LSN
+	for _, tag := range tags {
+		if got := l.index.nextN(tag, 0, MaxLSN, buf[:0], 1); len(got) > 0 && got[0] < first {
+			first, ok = got[0], true
+		}
+	}
+	return first, ok
 }
